@@ -3,8 +3,7 @@
 //   * exact vs lazy-greedy selection (accelerated argmax),
 //   * the adaptive (online-estimated) prior extension,
 //   * baseline row orderings (random vs dense-first, §4.1),
-//   * the parallel batched engine (1/2/8 threads) and the shared
-//     join-subtree memo (DESIGN.md §9) — threads and memo hit rate are
+//   * the shared join-subtree memo (DESIGN.md §9) — its hit rate is
 //     printed per variant so perf regressions show up in bench output.
 // All variants return the same valid sets; only cost differs.
 
@@ -27,16 +26,8 @@ namespace {
 struct Variant {
   std::string name;
   std::unique_ptr<CandidateVerifier> algo;
-  VerifyOptions verify;
+  bool subtree_memo = true;
 };
-
-VerifyOptions Par(int threads, int batch = 8, bool memo = true) {
-  VerifyOptions verify;
-  verify.threads = threads;
-  verify.batch_size = batch;
-  verify.subtree_memo = memo;
-  return verify;
-}
 
 void Run(const BenchArgs& args) {
   Bundle bundle = MakeBundle(DatasetKind::kImdb, args.scale, args.seed);
@@ -76,29 +67,14 @@ void Run(const BenchArgs& args) {
   variants.push_back(
       {"Filter(exact greedy)", std::make_unique<FilterVerifier>(0.1, false)});
   variants.push_back({"ExecuteAll", std::make_unique<ExecuteAll>()});
-  // Parallel batched engine ablation: serial vs 2 vs 8 threads, plus the
-  // subtree memo switched off to isolate its contribution. These reuse the
-  // default-configured algorithms, so rows are directly comparable to the
-  // serial entries above.
+  // The subtree memo switched off, to isolate its contribution. These reuse
+  // the default-configured algorithms, so rows are directly comparable to
+  // the entries above.
   variants.push_back({"VerifyAll(no memo)",
                       std::make_unique<VerifyAll>(RowOrder::kDenseFirst),
-                      Par(1, 8, /*memo=*/false)});
-  variants.push_back({"VerifyAll(2t)",
-                      std::make_unique<VerifyAll>(RowOrder::kDenseFirst),
-                      Par(2)});
-  variants.push_back({"VerifyAll(8t)",
-                      std::make_unique<VerifyAll>(RowOrder::kDenseFirst),
-                      Par(8)});
-  variants.push_back({"SimplePrune(8t)",
-                      std::make_unique<SimplePrune>(RowOrder::kDenseFirst),
-                      Par(8)});
-  variants.push_back(
-      {"Filter(2t batch8)", std::make_unique<FilterVerifier>(), Par(2)});
-  variants.push_back(
-      {"Filter(8t batch8)", std::make_unique<FilterVerifier>(), Par(8)});
-  variants.push_back({"Filter(8t no memo)",
-                      std::make_unique<FilterVerifier>(),
-                      Par(8, 8, /*memo=*/false)});
+                      /*subtree_memo=*/false});
+  variants.push_back({"Filter(no memo)", std::make_unique<FilterVerifier>(),
+                      /*subtree_memo=*/false});
 
   CandidateGenOptions gen_options;
   std::vector<VerificationCounters> totals(variants.size());
@@ -109,7 +85,7 @@ void Run(const BenchArgs& args) {
     for (size_t v = 0; v < variants.size(); ++v) {
       VerifyContext ctx{*bundle.db, *bundle.graph, *bundle.exec,
                         et,         candidates,     args.seed};
-      ctx.verify = variants[v].verify;
+      ctx.subtree_memo = variants[v].subtree_memo;
       VerificationCounters counters;
       std::vector<bool> valid = variants[v].algo->Verify(ctx, &counters);
       if (v == 0) {
@@ -126,13 +102,12 @@ void Run(const BenchArgs& args) {
               "(IMDB, scale %.2f)\n",
               ets.size(), args.scale);
   TablePrinter table({"variant", "avg #verifications", "avg cost",
-                      "avg time(ms)", "threads", "memo hit%"});
+                      "avg time(ms)", "memo hit%"});
   for (size_t v = 0; v < variants.size(); ++v) {
     table.AddRow({variants[v].name,
                   FormatDouble(totals[v].verifications / n, 1),
                   FormatDouble(totals[v].estimated_cost / n, 1),
                   FormatDouble(totals[v].elapsed_seconds * 1e3 / n, 2),
-                  std::to_string(totals[v].threads_used),
                   FormatDouble(totals[v].SubtreeMemoHitRate() * 100.0, 1)});
   }
   table.Print(std::cout);

@@ -16,8 +16,46 @@
 namespace qbe {
 namespace {
 
-SpanKind VerifySpanKind(Algorithm algorithm) {
-  switch (algorithm) {
+/// Ranking score (§8 future work): prefer fewer joins (simpler
+/// explanations) and more selective projection columns (mappings where the
+/// ET values pin down few base rows are likelier to reflect user intent).
+double RankScore(const DbView& view, const ExampleTable& et,
+                 const EtTokenIds& et_ids, const CandidateQuery& query) {
+  double selectivity_sum = 0.0;
+  int cells = 0;
+  for (int c = 0; c < et.num_columns(); ++c) {
+    const ColumnRef& col = query.projection[c];
+    const uint32_t live_rows = view.LiveRows(col.rel);
+    for (int r = 0; r < et.num_rows(); ++r) {
+      if (et.cell(r, c).IsEmpty()) continue;
+      size_t matches = view.MatchCount(col, et_ids.CellIds(r, c));
+      selectivity_sum += live_rows == 0
+                             ? 0.0
+                             : static_cast<double>(matches) /
+                                   static_cast<double>(live_rows);
+      ++cells;
+    }
+  }
+  double avg_selectivity = cells == 0 ? 0.0 : selectivity_sum / cells;
+  return 1.0 / query.tree.NumVertices() + 0.5 * (1.0 - avg_selectivity);
+}
+
+}  // namespace
+
+bool DeadlineExpired(const DiscoveryOptions& options) {
+  return options.deadline != nullptr && options.deadline->Expired();
+}
+
+DiscoveryResult& MarkTimedOut(DiscoveryResult& result) {
+  result.timed_out = true;
+  result.error = "deadline exceeded before verification finished";
+  result.queries.clear();
+  return result;
+}
+
+SpanKind VerifySpanKind(const DiscoveryOptions& options) {
+  if (options.min_row_support >= 0) return SpanKind::kRelaxedVerify;
+  switch (options.algorithm) {
     case Algorithm::kVerifyAll: return SpanKind::kVerifyAll;
     case Algorithm::kSimplePrune: return SpanKind::kSimplePrune;
     case Algorithm::kFilter: return SpanKind::kFilter;
@@ -47,47 +85,6 @@ std::unique_ptr<CandidateVerifier> MakeVerifier(
   }
   return nullptr;
 }
-
-/// Ranking score (§8 future work): prefer fewer joins (simpler
-/// explanations) and more selective projection columns (mappings where the
-/// ET values pin down few base rows are likelier to reflect user intent).
-double RankScore(const DbView& view, const ExampleTable& et,
-                 const EtTokenIds& et_ids, const CandidateQuery& query) {
-  double selectivity_sum = 0.0;
-  int cells = 0;
-  for (int c = 0; c < et.num_columns(); ++c) {
-    const ColumnRef& col = query.projection[c];
-    const uint32_t live_rows = view.LiveRows(col.rel);
-    for (int r = 0; r < et.num_rows(); ++r) {
-      if (et.cell(r, c).IsEmpty()) continue;
-      size_t matches = view.MatchCount(col, et_ids.CellIds(r, c));
-      selectivity_sum += live_rows == 0
-                             ? 0.0
-                             : static_cast<double>(matches) /
-                                   static_cast<double>(live_rows);
-      ++cells;
-    }
-  }
-  double avg_selectivity = cells == 0 ? 0.0 : selectivity_sum / cells;
-  return 1.0 / query.tree.NumVertices() + 0.5 * (1.0 - avg_selectivity);
-}
-
-}  // namespace
-
-namespace {
-
-bool DeadlineExpired(const DiscoveryOptions& options) {
-  return options.deadline != nullptr && options.deadline->Expired();
-}
-
-DiscoveryResult& MarkTimedOut(DiscoveryResult& result) {
-  result.timed_out = true;
-  result.error = "deadline exceeded before verification finished";
-  result.queries.clear();
-  return result;
-}
-
-}  // namespace
 
 DiscoveryResult DiscoverQueries(const Database& db, const ExampleTable& et,
                                 const DiscoveryOptions& options) {
@@ -158,21 +155,15 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
   VerifyContext ctx{db,           graph,         exec,
                     et,           candidates,    options.seed,
                     options.cache, options.deadline,
-                    options.verify, options.verify_pool,
-                    &et_ids,
+                    &et_ids,      options.subtree_memo,
                     options.use_match_cache ? &match_cache : nullptr,
                     data_epoch,   view.delta(),
                     trace};
 
-  // Per-algorithm verification span; evaluations fanned out to verify-pool
-  // workers hang off it via ctx.trace_parent.
+  // Per-algorithm verification span; every evaluation runs on this thread
+  // and nests under it.
   SpanRef verify_span =
-      trace == nullptr
-          ? kNullSpan
-          : trace->OpenSpan(options.min_row_support >= 0
-                                ? SpanKind::kRelaxedVerify
-                                : VerifySpanKind(options.algorithm));
-  ctx.trace_parent = verify_span;
+      trace == nullptr ? kNullSpan : trace->OpenSpan(VerifySpanKind(options));
 
   std::vector<int> matched(candidates.size(), 0);
   std::vector<bool> keep(candidates.size(), false);

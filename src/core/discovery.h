@@ -1,6 +1,7 @@
 #ifndef QBE_CORE_DISCOVERY_H_
 #define QBE_CORE_DISCOVERY_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,8 +12,6 @@
 #include "storage/database.h"
 
 namespace qbe {
-
-class TraceContext;
 
 /// Which candidate-verification algorithm drives discovery. All produce
 /// identical valid sets; they differ in cost (§2.3).
@@ -62,21 +61,16 @@ struct DiscoveryOptions {
   /// run returns DiscoveryResult::timed_out with no queries. Not owned.
   const DeadlineToken* deadline = nullptr;
 
-  /// Intra-request parallel + batched verification knobs (threads,
-  /// batch_size, subtree memo). threads > 1 requires `cache` to be null or
-  /// thread-safe. Defaults keep the serial reference path.
-  VerifyOptions verify;
-
-  /// Optional shared worker pool for verify.threads > 1 (not owned).
-  /// DiscoveryService points every request at its verify pool so requests
-  /// borrow idle workers; when null, each request spins up a transient
-  /// pool.
-  ThreadPool* verify_pool = nullptr;
+  /// Shares reduced predicate-free join subtrees across the candidates of
+  /// this request (Executor::SubtreeMemo). Purely an execution-cost
+  /// optimization: outcomes, verification counts, and the valid set are
+  /// bit-identical with it on or off.
+  bool subtree_memo = true;
 
   /// Shares (column, phrase-ids) → row-set match results across every
   /// existence query of this request (see exec/match_cache.h). Purely an
   /// execution-cost optimization: outcomes, verification counts, and the
-  /// valid set are bit-identical with it on or off, at any thread count.
+  /// valid set are bit-identical with it on or off.
   bool use_match_cache = true;
 
   /// Optional request-scoped trace (obs/trace.h, DESIGN.md §13): discovery
@@ -128,6 +122,21 @@ DiscoveryResult DiscoverQueries(const Database& db, const ExampleTable& et,
 DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
                                 const DiscoveryOptions& options,
                                 uint64_t data_epoch);
+
+// Pipeline steps shared with the sharded engine (shard/coordinator.h).
+
+/// True once `options.deadline` has expired.
+bool DeadlineExpired(const DiscoveryOptions& options);
+
+/// Voids `result` as a deadline timeout and returns it.
+DiscoveryResult& MarkTimedOut(DiscoveryResult& result);
+
+/// The trace span that covers verification under `options`.
+SpanKind VerifySpanKind(const DiscoveryOptions& options);
+
+/// The verifier `options.algorithm` selects.
+std::unique_ptr<CandidateVerifier> MakeVerifier(
+    const DiscoveryOptions& options);
 
 }  // namespace qbe
 

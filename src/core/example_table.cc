@@ -9,7 +9,8 @@ namespace qbe {
 ExampleTable::ExampleTable(std::vector<std::string> column_names)
     : column_names_(std::move(column_names)) {
   QBE_CHECK(!column_names_.empty());
-  QBE_CHECK_MSG(column_names_.size() <= 32,
+  QBE_CHECK_MSG(column_names_.size() <=
+                    static_cast<size_t>(kMaxColumns),
                 "example tables are limited to 32 columns");
 }
 

@@ -27,8 +27,12 @@ struct EtCell {
 /// verification touches them.
 class ExampleTable {
  public:
-  /// `column_names` fixes the column count; names may be empty strings
-  /// (display defaults to A, B, C, …).
+  /// Widest supported table: per-row column sets are 32-bit masks. Input
+  /// parsers must reject wider tables before constructing one.
+  static constexpr int kMaxColumns = 32;
+
+  /// `column_names` fixes the column count (1..kMaxColumns); names may be
+  /// empty strings (display defaults to A, B, C, …).
   explicit ExampleTable(std::vector<std::string> column_names);
 
   /// Convenience: n unnamed columns.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/parallel_verify.h"
 #include "shard/shard_exec.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -50,7 +49,7 @@ bool EvalEngine::Execute(const JoinTree& tree,
   auto run_exec = [&]() {
     counters_->verifications += 1;
     counters_->estimated_cost += cost;
-    ScopedSpan exec_span(ctx_.trace, SpanKind::kEvalExec, ctx_.trace_parent);
+    ScopedSpan exec_span(ctx_.trace, SpanKind::kEvalExec);
     if (ctx_.shards != nullptr) {
       int shard = -1;
       bool found = ctx_.shards->Exists(tree, predicates, ctx_.trace, &shard);
@@ -73,8 +72,7 @@ bool EvalEngine::Execute(const JoinTree& tree,
     }
     std::optional<bool> cached;
     {
-      ScopedSpan lookup_span(ctx_.trace, SpanKind::kEvalCacheLookup,
-                             ctx_.trace_parent);
+      ScopedSpan lookup_span(ctx_.trace, SpanKind::kEvalCacheLookup);
       cached = ctx_.cache->Lookup(key);
     }
     if (ctx_.trace != nullptr) {
@@ -138,41 +136,17 @@ std::vector<bool> VerifyAll::Verify(const VerifyContext& ctx,
   int n = static_cast<int>(ctx.candidates.size());
   std::vector<bool> valid(ctx.candidates.size(), false);
 
-  VerifyPoolHandle pool(ctx);
   Executor::SubtreeMemo memo;
-  Executor::SubtreeMemo* memo_ptr =
-      ctx.verify.subtree_memo ? &memo : nullptr;
-  counters->threads_used = std::max(counters->threads_used, pool.threads());
-
-  // Evaluates candidate q with early exit at its first failing row.
-  auto check_candidate = [&](EvalEngine& engine, int q) {
+  EvalEngine engine(ctx, counters, ctx.subtree_memo ? &memo : nullptr);
+  // Each candidate stops at its first failing row.
+  for (int q = 0; q < n; ++q) {
+    valid[q] = true;
     for (int row : row_order) {
-      if (!engine.EvaluateCandidateRow(q, row)) return false;
-    }
-    return true;
-  };
-
-  if (pool.pool() == nullptr) {
-    EvalEngine engine(ctx, counters, memo_ptr);
-    for (int q = 0; q < n; ++q) valid[q] = check_candidate(engine, q);
-  } else {
-    // Candidates are independent, so fan batches of them out and merge the
-    // per-batch counters in canonical batch order. Results land in a byte
-    // vector — vector<bool> packs bits, so concurrent writes to distinct
-    // candidates would race on shared bytes.
-    int batch = std::max(1, ctx.verify.batch_size);
-    int num_batches = (n + batch - 1) / batch;
-    std::vector<uint8_t> ok_bytes(ctx.candidates.size(), 0);
-    std::vector<VerificationCounters> batch_counters(num_batches);
-    ParallelFor(pool.pool(), num_batches, [&](int b) {
-      EvalEngine engine(ctx, &batch_counters[b], memo_ptr);
-      int end = std::min(n, (b + 1) * batch);
-      for (int q = b * batch; q < end; ++q) {
-        ok_bytes[q] = check_candidate(engine, q) ? 1 : 0;
+      if (!engine.EvaluateCandidateRow(q, row)) {
+        valid[q] = false;
+        break;
       }
-    });
-    for (const VerificationCounters& c : batch_counters) counters->Add(c);
-    for (int q = 0; q < n; ++q) valid[q] = ok_bytes[q] != 0;
+    }
   }
 
   counters->subtree_memo_hits += memo.hits();

@@ -64,8 +64,7 @@ class Executor {
   /// heavily on join structure while differing mostly in predicates, so the
   /// predicate-free branches of their existence queries repeat across
   /// candidates (and across ET rows): materialize each once per request
-  /// instead of once per evaluation. Thread-safe — one memo is shared by
-  /// every worker of a parallel verification; values are deterministic
+  /// instead of once per evaluation. Thread-safe; values are deterministic
   /// functions of the database, so concurrent inserts are idempotent.
   class SubtreeMemo {
    public:

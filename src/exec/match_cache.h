@@ -21,8 +21,7 @@ namespace qbe {
 /// Values are computed OUTSIDE the shard lock and inserted idempotently: a
 /// match result is a pure function of the immutable database, so when two
 /// threads race on the same key both compute identical vectors and either
-/// insert wins — results are bit-identical at any thread count, preserving
-/// the determinism contract of the verify pool (DESIGN.md §9).
+/// insert wins.
 class MatchCache {
  public:
   explicit MatchCache(size_t shards = 16);

@@ -59,29 +59,8 @@ std::string AlgoName(AlgoKind kind) {
       return "Weave";
     case AlgoKind::kWeaveTuple:
       return "Weave(tuple)";
-    case AlgoKind::kVerifyAllPar:
-      return "VerifyAll(8t)";
-    case AlgoKind::kSimplePrunePar:
-      return "SimplePrune(8t)";
-    case AlgoKind::kFilterPar:
-      return "Filter(8t)";
   }
   return "?";
-}
-
-VerifyOptions AlgoVerifyOptions(AlgoKind kind) {
-  VerifyOptions verify;
-  switch (kind) {
-    case AlgoKind::kVerifyAllPar:
-    case AlgoKind::kSimplePrunePar:
-    case AlgoKind::kFilterPar:
-      verify.threads = 8;
-      verify.batch_size = 8;
-      break;
-    default:
-      break;
-  }
-  return verify;
 }
 
 namespace {
@@ -89,13 +68,10 @@ namespace {
 std::unique_ptr<CandidateVerifier> MakeAlgo(AlgoKind kind) {
   switch (kind) {
     case AlgoKind::kVerifyAll:
-    case AlgoKind::kVerifyAllPar:
       return std::make_unique<VerifyAll>(RowOrder::kRandom);
     case AlgoKind::kSimplePrune:
-    case AlgoKind::kSimplePrunePar:
       return std::make_unique<SimplePrune>(RowOrder::kRandom);
     case AlgoKind::kFilter:
-    case AlgoKind::kFilterPar:
       return std::make_unique<FilterVerifier>();
     case AlgoKind::kFilterExact:
       return std::make_unique<FilterVerifier>(0.1, false);
@@ -132,7 +108,6 @@ ExperimentPoint RunPoint(const Bundle& bundle,
     for (size_t a = 0; a < algos.size(); ++a) {
       VerifyContext ctx{*bundle.db, *bundle.graph, *bundle.exec,
                         et,         candidates,     seed};
-      ctx.verify = AlgoVerifyOptions(algos[a]);
       std::unique_ptr<CandidateVerifier> algo = MakeAlgo(algos[a]);
       VerificationCounters counters;
       std::vector<bool> valid = algo->Verify(ctx, &counters);
@@ -151,7 +126,6 @@ ExperimentPoint RunPoint(const Bundle& bundle,
       agg.avg_cost += counters.estimated_cost;
       agg.avg_millis += counters.elapsed_seconds * 1e3;
       agg.avg_peak_bytes += static_cast<double>(counters.peak_memory_bytes);
-      agg.threads = std::max(agg.threads, counters.threads_used);
       agg.memo_hits += static_cast<double>(counters.subtree_memo_hits);
       agg.memo_lookups += static_cast<double>(counters.subtree_memo_lookups);
       agg.max_verifications = std::max(
@@ -219,17 +193,16 @@ void PrintSweep(const std::string& title, const std::string& param_name,
   std::printf("(c) total estimated cost (sum of join tree sizes)\n");
   costs.Print(std::cout);
 
-  TablePrinter engine(time_headers);
+  TablePrinter memo(time_headers);
   for (size_t i = 0; i < points.size(); ++i) {
     std::vector<std::string> row = {param_values[i]};
     for (const AlgoAggregate& agg : points[i].algos) {
-      row.push_back(std::to_string(agg.threads) + "t/" +
-                    FormatDouble(agg.MemoHitRate() * 100.0, 1) + "%");
+      row.push_back(FormatDouble(agg.MemoHitRate() * 100.0, 1) + "%");
     }
-    engine.AddRow(std::move(row));
+    memo.AddRow(std::move(row));
   }
-  std::printf("(d) engine: threads / subtree-memo hit rate\n");
-  engine.Print(std::cout);
+  std::printf("(d) subtree-memo hit rate\n");
+  memo.Print(std::cout);
   std::printf("\n");
 }
 
@@ -294,12 +267,11 @@ void WriteSweepJson(const std::string& path, const std::string& title,
                    "      {\"name\": \"%s\", \"avg_verifications\": %.6g, "
                    "\"avg_millis\": %.6g, \"avg_cost\": %.6g, "
                    "\"max_verifications\": %.6g, \"max_millis\": %.6g, "
-                   "\"avg_peak_bytes\": %.6g, \"threads\": %d, "
-                   "\"memo_hit_rate\": %.6g}%s\n",
+                   "\"avg_peak_bytes\": %.6g, \"memo_hit_rate\": %.6g}%s\n",
                    JsonEscape(agg.name).c_str(), agg.avg_verifications,
                    agg.avg_millis, agg.avg_cost, agg.max_verifications,
-                   agg.max_millis, agg.avg_peak_bytes, agg.threads,
-                   agg.MemoHitRate(), a + 1 < point.algos.size() ? "," : "");
+                   agg.max_millis, agg.avg_peak_bytes, agg.MemoHitRate(),
+                   a + 1 < point.algos.size() ? "," : "");
     }
     std::fprintf(f, "    ]}%s\n", i + 1 < points.size() ? "," : "");
   }

@@ -31,10 +31,9 @@ struct Bundle {
 /// ET-generation matrices.
 Bundle MakeBundle(DatasetKind kind, double scale, uint64_t seed);
 
-/// Verification algorithms compared in §6. The *Par kinds run the same
-/// algorithm through the parallel batched engine (8 threads, batch 8);
-/// RunPoint asserts their valid sets match the serial reference, so every
-/// bench doubles as a differential check of the engine.
+/// Verification algorithms compared in §6. RunPoint asserts they all
+/// return the same valid set, so every bench doubles as a differential
+/// check.
 enum class AlgoKind {
   kVerifyAll,
   kSimplePrune,
@@ -42,16 +41,9 @@ enum class AlgoKind {
   kFilterExact,
   kWeave,
   kWeaveTuple,
-  kVerifyAllPar,
-  kSimplePrunePar,
-  kFilterPar,
 };
 
 std::string AlgoName(AlgoKind kind);
-
-/// The engine configuration each kind runs under (serial defaults for the
-/// paper's algorithms, 8×8 for the *Par kinds).
-VerifyOptions AlgoVerifyOptions(AlgoKind kind);
 
 /// Per-algorithm aggregate over a batch of ETs, carrying the §6.1 metrics.
 struct AlgoAggregate {
@@ -62,10 +54,8 @@ struct AlgoAggregate {
   double max_verifications = 0;
   double max_millis = 0;
   double avg_peak_bytes = 0;
-  /// Engine columns: worker threads used and the subtree-memo hit rate
-  /// (hits / lookups over all ETs), so perf regressions in the parallel
-  /// engine are visible in bench output.
-  int threads = 1;
+  /// Subtree-memo traffic over all ETs, so memo regressions are visible
+  /// in bench output.
   double memo_hits = 0;
   double memo_lookups = 0;
   std::vector<double> per_case_verifications;

@@ -261,6 +261,12 @@ bool DecodeRequestPayload(const char* data, size_t len, WireRequest* out,
   // its flag byte + length. Counts the payload cannot possibly hold are
   // rejected before any reservation (the WAL decoder's rule).
   if (num_columns > len / 4) return fail("column count exceeds payload");
+  if (num_columns == 0) return fail("request has no columns");
+  if (num_columns > static_cast<uint32_t>(ExampleTable::kMaxColumns)) {
+    return fail("request has " + std::to_string(num_columns) +
+                " columns; example tables are limited to " +
+                std::to_string(ExampleTable::kMaxColumns));
+  }
   out->column_names.clear();
   out->column_names.reserve(num_columns);
   for (uint32_t c = 0; c < num_columns; ++c) {
@@ -269,10 +275,7 @@ bool DecodeRequestPayload(const char* data, size_t len, WireRequest* out,
     out->column_names.push_back(std::move(name));
   }
   if (!cur.U32(&num_rows)) return fail("row count truncated");
-  if (num_columns == 0 && num_rows != 0) {
-    return fail("rows without columns");
-  }
-  if (num_rows != 0 && num_rows > len / num_columns) {
+  if (num_rows > len / num_columns) {
     return fail("row count exceeds payload");
   }
   out->rows.clear();

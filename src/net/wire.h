@@ -147,6 +147,9 @@ FrameStatus TryExtractFrame(const char* data, size_t len, FrameView* frame,
 
 // --- payload decoding (all bounds-checked; false = reject) -----------------
 
+/// Also rejects example-table shapes ExampleTable cannot hold: no columns,
+/// or more than ExampleTable::kMaxColumns. The server answers a rejected
+/// payload with kBadPayload.
 bool DecodeRequestPayload(const char* data, size_t len, WireRequest* out,
                           std::string* error);
 bool DecodeResponsePayload(const char* data, size_t len, WireResponse* out,

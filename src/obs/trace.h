@@ -144,9 +144,9 @@ class TraceContext {
   TraceContext& operator=(const TraceContext&) = delete;
 
   /// Opens a span. `parent_hint` supplies the parent when this thread has
-  /// no enclosing open span (fan-out: a verify worker's evaluations hang
-  /// off the request's verify span, which lives on another lane); with an
-  /// enclosing span on this lane, nesting wins and the hint is ignored.
+  /// no enclosing open span (its lane is empty, e.g. the span it should
+  /// hang off lives on another lane); with an enclosing span on this lane,
+  /// nesting wins and the hint is ignored.
   SpanRef OpenSpan(SpanKind kind, SpanRef parent_hint = kNullSpan);
 
   /// Closes `ref` (no-op for kNullSpan). Must be called on the opening

@@ -99,14 +99,6 @@ DiscoveryService::DiscoveryService(std::vector<Database> shards,
   const int n = num_shards();
   sampler_.rate = options_.trace_sample;
   sampler_.seed = options_.trace_seed;
-  if (options_.discovery.verify.threads > 1) {
-    // One shared verification pool for all requests; each request's
-    // ParallelFor rounds borrow whichever of these workers are idle. The
-    // deep queue is back-pressure only — verify tasks never submit to this
-    // pool themselves, so it cannot deadlock.
-    verify_pool_ = std::make_unique<ThreadPool>(
-        options_.discovery.verify.threads, /*max_queue_depth=*/1024);
-  }
   if (!options_.wal_path.empty()) {
     // Sharded mode logs each shard's ops into its own WAL (append routing
     // is deterministic, so replaying each shard's log reproduces the same
@@ -224,12 +216,11 @@ void DiscoveryService::Run(const std::shared_ptr<Request>& request) {
   DiscoveryOptions options = options_.discovery;
   options.cache = &cache_;
   options.deadline = request->has_deadline ? &request->deadline : nullptr;
-  options.verify_pool = verify_pool_.get();
   TraceContext* trace = request->trace.get();
   options.trace = trace;
 
   // Root span: everything discovery records on this worker thread nests
-  // under it; verify-pool lanes attach via VerifyContext::trace_parent.
+  // under it.
   SpanRef request_span =
       trace == nullptr ? kNullSpan : trace->OpenSpan(SpanKind::kRequest);
 
@@ -508,8 +499,6 @@ void DiscoveryService::Shutdown() {
   // drain (and its epoch publish would be pointless anyway).
   for (const auto& compactor : compactors_) compactor->Stop();
   pool_->Shutdown();  // drains queued + in-flight; their promises resolve
-  // Only after every request drained: stop the verification workers.
-  if (verify_pool_ != nullptr) verify_pool_->Shutdown();
 }
 
 void DiscoveryService::RefreshGauges() {
@@ -520,10 +509,6 @@ void DiscoveryService::RefreshGauges() {
   metrics_.SetGauge("queue_depth", static_cast<double>(pool_->QueueDepth()));
   metrics_.SetGauge("worker_threads",
                     static_cast<double>(pool_->num_threads()));
-  metrics_.SetGauge("verify_threads",
-                    verify_pool_ == nullptr
-                        ? 1.0
-                        : static_cast<double>(verify_pool_->num_threads()));
   // Summed across shards (unsharded = the single live database's values).
   double epoch = 0.0, delta_rows = 0.0, tombstones = 0.0;
   bool all_wals = true;

@@ -59,11 +59,7 @@ struct ServiceOptions {
   /// Shards of the shared verification-outcome cache.
   size_t cache_shards = 16;
   /// Base discovery options for every request; `cache`, `deadline` and
-  /// `verify_pool` are overwritten by the service. Setting
-  /// `discovery.verify.threads` > 1 makes the service own one shared
-  /// verification pool of that many workers; every request fans its CQ-row
-  /// and filter evaluations out over it (idle verify workers are shared
-  /// across concurrent requests rather than being spawned per request).
+  /// `trace` are overwritten by the service.
   DiscoveryOptions discovery;
   /// Test seam: runs on the worker thread right before a request's
   /// discovery starts (e.g. a latch that holds the worker busy so
@@ -275,10 +271,6 @@ class DiscoveryService {
   std::atomic<uint64_t> request_seq_{0};
   mutable std::mutex traces_mu_;
   std::deque<Trace> recent_traces_;  // newest at the back
-  // Shared intra-request verification pool (null when
-  // discovery.verify.threads <= 1). Declared before pool_ so it outlives
-  // the request workers that submit to it.
-  std::unique_ptr<ThreadPool> verify_pool_;
   // Declared after the members Run touches so its destructor (which joins
   // workers running Run) fires first, while they are still alive.
   std::unique_ptr<ThreadPool> pool_;

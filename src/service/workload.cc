@@ -13,6 +13,14 @@ std::optional<ExampleTable> ParseRequestLine(const std::string& line,
     rows.push_back(SplitString(row_text, '|'));
   }
   const size_t width = rows[0].size();
+  if (width > static_cast<size_t>(ExampleTable::kMaxColumns)) {
+    if (error != nullptr) {
+      *error = "row 1 has " + std::to_string(width) +
+               " cells; example tables are limited to " +
+               std::to_string(ExampleTable::kMaxColumns) + " columns";
+    }
+    return std::nullopt;
+  }
   bool any_cell = false;
   for (size_t r = 0; r < rows.size(); ++r) {
     if (rows[r].size() > width) {

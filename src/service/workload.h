@@ -20,7 +20,8 @@ namespace qbe {
 /// Rows narrower than the first row are padded with empty (unconstrained)
 /// cells — that's what a trailing '|' means. A row *wider* than the first
 /// is rejected: silently dropping cells would verify a different query
-/// than the one the user wrote.
+/// than the one the user wrote. So is a first row wider than
+/// ExampleTable::kMaxColumns.
 
 /// "Mike|ThinkPad|Office;Mary|iPad|" -> ExampleTable. On a malformed line
 /// returns nullopt and (if non-null) sets *error to the reason.

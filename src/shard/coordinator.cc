@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <iterator>
-#include <memory>
 
 #include "core/candidate_gen.h"
-#include "core/filter_verifier.h"
-#include "core/simple_prune.h"
-#include "core/verify_all.h"
 #include "exec/sql_render.h"
 #include "kernels/kernels.h"
 #include "obs/trace.h"
@@ -17,48 +13,6 @@
 
 namespace qbe {
 namespace {
-
-bool DeadlineExpired(const DiscoveryOptions& options) {
-  return options.deadline != nullptr && options.deadline->Expired();
-}
-
-DiscoveryResult& MarkTimedOut(DiscoveryResult& result) {
-  result.timed_out = true;
-  result.error = "deadline exceeded before verification finished";
-  result.queries.clear();
-  return result;
-}
-
-SpanKind VerifySpanKind(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kVerifyAll: return SpanKind::kVerifyAll;
-    case Algorithm::kSimplePrune: return SpanKind::kSimplePrune;
-    case Algorithm::kFilter: return SpanKind::kFilter;
-    case Algorithm::kFilterExact: return SpanKind::kFilterExact;
-    case Algorithm::kWeave: return SpanKind::kWeave;
-  }
-  return SpanKind::kVerifyAll;
-}
-
-std::unique_ptr<CandidateVerifier> MakeVerifier(
-    const DiscoveryOptions& options) {
-  switch (options.algorithm) {
-    case Algorithm::kVerifyAll:
-      return std::make_unique<VerifyAll>(options.row_order);
-    case Algorithm::kSimplePrune:
-      return std::make_unique<SimplePrune>(options.row_order);
-    case Algorithm::kFilter: {
-      FilterVerifier::Options fo;
-      fo.failure_prior = options.failure_prior;
-      return std::make_unique<FilterVerifier>(fo);
-    }
-    case Algorithm::kFilterExact:
-      return std::make_unique<FilterVerifier>(options.failure_prior, false);
-    case Algorithm::kWeave:
-      break;  // rejected before verifier construction
-  }
-  return nullptr;
-}
 
 /// Union across shards of the "columns containing ET cell (r, c)" sets.
 /// Containment is a per-row property and the shards partition the rows, so
@@ -270,7 +224,7 @@ DiscoveryResult DiscoverQueriesSharded(const std::vector<DbView>& views,
   if (trace != nullptr) trace->CloseSpan(resolve_span);
 
   ShardExecSet::Options shard_options;
-  shard_options.subtree_memo = options.verify.subtree_memo;
+  shard_options.subtree_memo = options.subtree_memo;
   shard_options.use_match_cache = options.use_match_cache;
   ShardExecSet shard_set(views, graph, shard_options);
 
@@ -278,20 +232,15 @@ DiscoveryResult DiscoverQueriesSharded(const std::vector<DbView>& views,
                     exec0,         et,
                     candidates,    options.seed,
                     options.cache, options.deadline,
-                    options.verify, options.verify_pool,
                     /*et_ids=*/nullptr,
+                    options.subtree_memo,
                     /*match_cache=*/nullptr,
                     data_epoch,    /*delta=*/nullptr,
                     trace};
   ctx.shards = &shard_set;
 
   SpanRef verify_span =
-      trace == nullptr
-          ? kNullSpan
-          : trace->OpenSpan(options.min_row_support >= 0
-                                ? SpanKind::kRelaxedVerify
-                                : VerifySpanKind(options.algorithm));
-  ctx.trace_parent = verify_span;
+      trace == nullptr ? kNullSpan : trace->OpenSpan(VerifySpanKind(options));
 
   std::vector<int> matched(candidates.size(), 0);
   std::vector<bool> keep(candidates.size(), false);

@@ -32,7 +32,7 @@ namespace qbe {
 class ShardExecSet {
  public:
   struct Options {
-    /// Mirror of VerifyOptions::subtree_memo, applied per shard.
+    /// Mirror of DiscoveryOptions::subtree_memo, applied per shard.
     bool subtree_memo = true;
     /// Mirror of DiscoveryOptions::use_match_cache, applied per shard.
     bool use_match_cache = true;
@@ -61,9 +61,9 @@ class ShardExecSet {
   /// existence query. Probes shards in canonical order with short-circuit;
   /// shards where any tree vertex has zero live rows are skipped without
   /// executing (outcome-neutral: an empty vertex admits no witness).
-  /// Thread-safe — verify-pool workers call this concurrently; per-shard
-  /// memo/match caches are thread-safe and stats are atomic. Writes the
-  /// answering shard id to `answered_by` (-1 when no shard has a witness).
+  /// Thread-safe: per-shard memo/match caches are thread-safe and stats
+  /// are atomic. Writes the answering shard id to `answered_by` (-1 when
+  /// no shard has a witness).
   bool Exists(const JoinTree& tree,
               const std::vector<PhrasePredicate>& predicates,
               TraceContext* trace, int* answered_by) const;

@@ -1,14 +1,11 @@
-// Differential test suite for the verification algorithms and the parallel
-// batched engine (DESIGN.md §9).
+// Differential test suite for the verification algorithms (DESIGN.md §9).
 //
 // Over ≥ 200 seeded random database/ET instances it asserts:
 //
 //  1. FILTER (lazy and exact), VERIFYALL and SIMPLEPRUNE return identical
 //     minimal-valid-query sets (the paper's §2.3 invariant), and
-//  2. the parallel engine at 1, 2 and 8 threads is bit-identical to the
-//     serial output — same validity vector AND, for a fixed batch size,
-//     the same number of evaluated existence queries at every thread count
-//     (the determinism contract: thread count never changes anything).
+//  2. every algorithm's number of evaluated existence queries matches the
+//     golden snapshot.
 //
 // Instances are drawn as 20 seeded scaled-retailer databases × 10 random
 // ETs each = 200 (database, ET) pairs, sharded into gtest params so
@@ -24,7 +21,6 @@
 #include <string>
 
 #include "core/candidate_gen.h"
-#include "core/discovery.h"
 #include "core/filter_verifier.h"
 #include "core/simple_prune.h"
 #include "core/verify_all.h"
@@ -63,23 +59,14 @@ std::vector<ExampleTable> RandomEts(Workbench& wb, uint64_t seed) {
   return source.SampleMany(params, kEtsPerSeed, seed * 131 + 7);
 }
 
-VerifyOptions Engine(int threads, int batch = 4) {
-  VerifyOptions verify;
-  verify.threads = threads;
-  verify.batch_size = batch;
-  return verify;
-}
-
-/// Runs `algo` under `verify` and returns (valid set, #verifications).
+/// Runs `algo` and returns (valid set, #verifications).
 std::pair<std::vector<bool>, int64_t> RunEngine(const Workbench& wb,
                                                 const ExampleTable& et,
                                                 const std::vector<
                                                     CandidateQuery>& cands,
                                                 CandidateVerifier& algo,
-                                                VerifyOptions verify,
                                                 uint64_t seed) {
   VerifyContext ctx{wb.db, wb.graph, wb.exec, et, cands, seed};
-  ctx.verify = verify;
   VerificationCounters counters;
   std::vector<bool> valid = algo.Verify(ctx, &counters);
   return {std::move(valid), counters.verifications};
@@ -101,15 +88,14 @@ TEST_P(DifferentialTest, AlgorithmsAgreeOnRandomInstances) {
 
     VerifyAll verify_all(RowOrder::kDenseFirst);
     auto [reference, ref_verifs] =
-        RunEngine(wb, et, cands, verify_all, Engine(1), seed);
+        RunEngine(wb, et, cands, verify_all, seed);
 
     SimplePrune simple_prune(RowOrder::kDenseFirst);
     FilterVerifier filter_lazy(0.1, true);
     FilterVerifier filter_exact(0.1, false);
     CandidateVerifier* algos[] = {&simple_prune, &filter_lazy, &filter_exact};
     for (CandidateVerifier* algo : algos) {
-      auto [valid, verifs] =
-          RunEngine(wb, et, cands, *algo, Engine(1), seed);
+      auto [valid, verifs] = RunEngine(wb, et, cands, *algo, seed);
       EXPECT_EQ(valid, reference)
           << algo->name() << " disagrees with VerifyAll (seed " << seed
           << ", instance " << instances << ")";
@@ -118,62 +104,15 @@ TEST_P(DifferentialTest, AlgorithmsAgreeOnRandomInstances) {
   EXPECT_EQ(instances, kEtsPerSeed);
 }
 
-// Part 2: thread-count determinism — for each verifier, 1/2/8 threads
-// produce the serial validity vector, and 2 vs 8 threads (the batched
-// engine) spend the identical number of verifications.
-TEST_P(DifferentialTest, ParallelEngineIsBitIdenticalAcrossThreadCounts) {
-  uint64_t seed = GetParam();
-  Workbench wb(seed);
-  for (const ExampleTable& et : RandomEts(wb, seed + 2000)) {
-    std::vector<CandidateQuery> cands =
-        GenerateCandidates(wb.db, wb.graph, et, {});
-    if (cands.empty()) continue;
-
-    VerifyAll verify_all(RowOrder::kDenseFirst);
-    SimplePrune simple_prune(RowOrder::kDenseFirst);
-    FilterVerifier filter_lazy(0.1, true);
-    FilterVerifier filter_exact(0.1, false);
-    CandidateVerifier* algos[] = {&verify_all, &simple_prune, &filter_lazy,
-                                  &filter_exact};
-    for (CandidateVerifier* algo : algos) {
-      auto [serial, serial_verifs] =
-          RunEngine(wb, et, cands, *algo, Engine(1), seed);
-      int64_t batched_verifs = -1;
-      for (int threads : {1, 2, 8}) {
-        auto [valid, verifs] =
-            RunEngine(wb, et, cands, *algo, Engine(threads), seed);
-        EXPECT_EQ(valid, serial)
-            << algo->name() << " at " << threads
-            << " threads diverges from serial (seed " << seed << ")";
-        if (threads == 1) {
-          // threads == 1 runs the serial reference path itself.
-          EXPECT_EQ(verifs, serial_verifs) << algo->name();
-        } else if (batched_verifs < 0) {
-          batched_verifs = verifs;
-        } else {
-          EXPECT_EQ(verifs, batched_verifs)
-              << algo->name() << " verification count depends on the "
-              << "thread count (seed " << seed << ")";
-        }
-      }
-      // VerifyAll fans out strictly independent work, so its batched
-      // engine must also match the serial verification count exactly.
-      if (algo == &verify_all && batched_verifs >= 0) {
-        EXPECT_EQ(batched_verifs, serial_verifs) << algo->name();
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Range<uint64_t>(1, 21));
 
-// Part 3: verification-count regression harness. The serial per-algorithm
+// Part 2: verification-count regression harness. The serial per-algorithm
 // verification counts over all 200 seeded instances are snapshotted into
 // tests/golden/verify_counts.json (key "sNN.eNN.algo"); any drift fails.
 // Counts are the paper's cost currency (Table 4, Figure 9): a pruning or
 // filter-scheduling regression shows up here even when the valid sets —
-// which parts 1 and 2 pin — still agree. Regenerate intentionally with
+// which part 1 pins — still agree. Regenerate intentionally with
 //   QBE_UPDATE_GOLDEN=1 ctest -R differential_test
 
 using CountMap = std::map<std::string, int64_t>;
@@ -205,8 +144,7 @@ CountMap CollectVerifyCounts() {
           {"filter", &filter_lazy},     {"filterexact", &filter_exact},
           {"weave", &weave}};
       for (auto [name, algo] : algos) {
-        auto [valid, verifs] =
-            RunEngine(wb, et, cands, *algo, Engine(1), seed);
+        auto [valid, verifs] = RunEngine(wb, et, cands, *algo, seed);
         (void)valid;
         counts[InstanceKey(seed, e - 1, name)] = verifs;
       }
@@ -283,29 +221,6 @@ TEST(VerifyCountGoldenTest, CountsMatchGoldenSnapshot) {
     EXPECT_TRUE(golden.count(key))
         << "new instance " << key << " (" << value
         << " verifications) absent from golden; regenerate if intended";
-  }
-}
-
-// End-to-end determinism: DiscoverQueries with the parallel engine returns
-// the same ranked queries (SQL and order) as the serial engine.
-TEST(DifferentialDiscoveryTest, DiscoverQueriesMatchesSerialEndToEnd) {
-  Workbench wb(99);
-  for (const ExampleTable& et : RandomEts(wb, 4242)) {
-    DiscoveryOptions serial;
-    DiscoveryResult reference = DiscoverQueries(wb.db, et, serial);
-
-    for (int threads : {2, 8}) {
-      DiscoveryOptions par;
-      par.verify.threads = threads;
-      par.verify.batch_size = 4;
-      DiscoveryResult result = DiscoverQueries(wb.db, et, par);
-      ASSERT_EQ(result.ok(), reference.ok());
-      ASSERT_EQ(result.queries.size(), reference.queries.size());
-      for (size_t i = 0; i < result.queries.size(); ++i) {
-        EXPECT_EQ(result.queries[i].sql, reference.queries[i].sql);
-        EXPECT_EQ(result.queries[i].score, reference.queries[i].score);
-      }
-    }
   }
 }
 

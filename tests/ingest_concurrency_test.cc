@@ -1,6 +1,6 @@
 // Concurrency differential suite for the live-ingestion subsystem
-// (DESIGN.md §12): a writer appends (and tombstones) while discoveries at
-// 1, 2 and 8 verify-threads pin epochs, and a compactor races both. Every
+// (DESIGN.md §12): a writer appends (and tombstones) while discoveries on
+// three reader threads pin epochs, and a compactor races both. Every
 // pinned epoch's discovery output must be bit-identical to a from-scratch
 // load of that epoch's materialized data — regardless of what published
 // after the pin. Run under TSan in CI (label: slow, ingest).
@@ -50,15 +50,11 @@ std::vector<CanonQuery> Canon(const DiscoveryResult& result) {
 /// discovery returned against it.
 struct Sample {
   DbVersion pin;
-  int threads;
+  int reader;
   std::vector<CanonQuery> result;
 };
 
-DiscoveryOptions Options(int threads) {
-  DiscoveryOptions options;
-  options.verify.threads = threads;
-  return options;
-}
+constexpr int kReaders = 3;
 
 /// The writer: appends customers (some wired into Sales so they join to
 /// ThinkPad + Office and genuinely change the Figure-2 valid set), and
@@ -112,23 +108,21 @@ void RunWriter(LiveDatabase& live, int customer_rel, int sales_rel, int ops,
   }
 }
 
-/// A reader: repeatedly pin the current epoch, discover at `threads`
-/// verify-threads, and record (pin, result) for post-hoc verification.
-void RunReader(LiveDatabase& live, const ExampleTable& et, int threads,
+/// Reader number `reader`: repeatedly pin the current epoch, discover, and
+/// record (pin, result) for post-hoc verification.
+void RunReader(LiveDatabase& live, const ExampleTable& et, int reader,
                int iterations, std::mutex& mu, std::vector<Sample>& samples) {
   for (int i = 0; i < iterations; ++i) {
     DbVersion pin = live.Pin();
-    DiscoveryResult result =
-        DiscoverQueries(pin.view(), et, Options(threads), pin.epoch);
+    DiscoveryResult result = DiscoverQueries(pin.view(), et, {}, pin.epoch);
     ASSERT_TRUE(result.ok()) << result.error;
     std::lock_guard<std::mutex> lock(mu);
-    samples.push_back({std::move(pin), threads, Canon(result)});
+    samples.push_back({std::move(pin), reader, Canon(result)});
   }
 }
 
 /// Post-hoc: every sample must match a cold load of its pinned epoch, and
-/// samples of the same epoch must agree with each other across thread
-/// counts (thread count never changes the valid set).
+/// samples of the same epoch must agree with each other across readers.
 void VerifySamples(const ExampleTable& et, std::vector<Sample>& samples) {
   std::sort(samples.begin(), samples.end(),
             [](const Sample& a, const Sample& b) {
@@ -141,16 +135,16 @@ void VerifySamples(const ExampleTable& et, std::vector<Sample>& samples) {
       // Same epoch already verified against its cold load: cross-check
       // the two observations directly (cheap).
       EXPECT_EQ(samples[i - 1].result, s.result)
-          << "epoch " << s.pin.epoch << ": " << samples[i - 1].threads
-          << "-thread and " << s.threads << "-thread discovery disagree";
+          << "epoch " << s.pin.epoch << ": readers " << samples[i - 1].reader
+          << " and " << s.reader << " disagree";
       continue;
     }
     ++cold_loads;
     Database cold = MaterializeDatabase(s.pin.view());
     std::vector<CanonQuery> fresh = Canon(DiscoverQueries(cold, et));
     EXPECT_EQ(s.result, fresh)
-        << "epoch " << s.pin.epoch << " at " << s.threads
-        << " threads diverges from its from-scratch load";
+        << "epoch " << s.pin.epoch << " on reader " << s.reader
+        << " diverges from its from-scratch load";
   }
   // The run must have actually observed concurrent epochs.
   EXPECT_GT(cold_loads, 1u);
@@ -173,16 +167,18 @@ TEST_F(IngestConcurrencyTest, DiscoveryPinsBitIdenticalEpochsDuringAppends) {
   std::thread writer(
       [&] { RunWriter(live, customer, sales, 45, false, failed); });
   std::vector<std::thread> readers;
-  for (int threads : {1, 2, 8}) {
+  for (int reader = 0; reader < kReaders; ++reader) {
     readers.emplace_back(
-        [&, threads] { RunReader(live, et, threads, 8, mu, samples); });
+        [&, reader] { RunReader(live, et, reader, 8, mu, samples); });
   }
   writer.join();
   for (std::thread& t : readers) t.join();
   ASSERT_FALSE(failed.load());
 
-  // One final sample of the settled end state from each thread count.
-  for (int threads : {1, 2, 8}) RunReader(live, et, threads, 1, mu, samples);
+  // One final sample of the settled end state from each reader.
+  for (int reader = 0; reader < kReaders; ++reader) {
+    RunReader(live, et, reader, 1, mu, samples);
+  }
   VerifySamples(et, samples);
 }
 
@@ -218,16 +214,18 @@ TEST_F(IngestConcurrencyTest, CompactionRacesDiscoveryWithoutTearingPins) {
     EXPECT_GT(compactions, 0);
   });
   std::vector<std::thread> readers;
-  for (int threads : {1, 2, 8}) {
+  for (int reader = 0; reader < kReaders; ++reader) {
     readers.emplace_back(
-        [&, threads] { RunReader(live, et, threads, 8, mu, samples); });
+        [&, reader] { RunReader(live, et, reader, 8, mu, samples); });
   }
   writer.join();
   compactor.join();
   for (std::thread& t : readers) t.join();
   ASSERT_FALSE(failed.load());
 
-  for (int threads : {1, 2, 8}) RunReader(live, et, threads, 1, mu, samples);
+  for (int reader = 0; reader < kReaders; ++reader) {
+    RunReader(live, et, reader, 1, mu, samples);
+  }
   VerifySamples(et, samples);
 
   // After the dust settles: one more compaction, then the end state still

@@ -167,15 +167,12 @@ TEST_F(IngestTest, DiscoveryOverOverlayMatchesColdLoadAtEveryStep) {
       << error;
   ExpectDiscoveryMatchesColdLoad(live.Pin(), et);
 
-  // The invariant holds across verification algorithms and thread counts.
+  // The invariant holds across verification algorithms.
   for (Algorithm algo : {Algorithm::kVerifyAll, Algorithm::kWeave}) {
     DiscoveryOptions options;
     options.algorithm = algo;
     ExpectDiscoveryMatchesColdLoad(live.Pin(), et, options);
   }
-  DiscoveryOptions threaded;
-  threaded.verify.threads = 2;
-  ExpectDiscoveryMatchesColdLoad(live.Pin(), et, threaded);
 }
 
 TEST_F(IngestTest, PinnedEpochsAreImmutableUnderLaterMutations) {

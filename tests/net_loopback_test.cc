@@ -364,21 +364,29 @@ TEST(NetLoopbackTest, StructurallyInvalidPayloadIsBadPayload) {
   NetServer server(&service);
   ASSERT_TRUE(server.ok()) << server.error();
 
-  // Framing-valid, structurally invalid: one row but zero columns.
-  WireRequest bad;
-  bad.id = 9;
-  bad.rows.push_back({});
-  std::string frame;
-  EncodeRequestFrame(bad, &frame);
+  // Framing-valid, structurally invalid: one row but zero columns, no
+  // columns at all, and one column more than an ExampleTable holds.
+  WireRequest one_row_no_columns;
+  one_row_no_columns.rows.push_back({});
+  WireRequest too_wide;
+  too_wide.column_names.resize(ExampleTable::kMaxColumns + 1);
+  too_wide.rows.emplace_back(ExampleTable::kMaxColumns + 1,
+                             EtCell{"Mike", false});
+  for (WireRequest bad : {one_row_no_columns, WireRequest{}, too_wide}) {
+    bad.id = 9;
+    std::string frame;
+    EncodeRequestFrame(bad, &frame);
 
-  std::string error;
-  int fd = ConnectTcp("127.0.0.1", server.port(), &error);
-  ASSERT_GE(fd, 0) << error;
-  ASSERT_TRUE(WriteAll(fd, frame.data(), frame.size()));
-  WireErrorMsg wire_error = ReadErrorFrame(fd);
-  EXPECT_EQ(wire_error.fault, WireFault::kBadPayload);
-  EXPECT_TRUE(ReadsEof(fd));
-  CloseFd(&fd);
+    std::string error;
+    int fd = ConnectTcp("127.0.0.1", server.port(), &error);
+    ASSERT_GE(fd, 0) << error;
+    ASSERT_TRUE(WriteAll(fd, frame.data(), frame.size()));
+    WireErrorMsg wire_error = ReadErrorFrame(fd);
+    EXPECT_EQ(wire_error.fault, WireFault::kBadPayload)
+        << bad.column_names.size() << " columns";
+    EXPECT_TRUE(ReadsEof(fd));
+    CloseFd(&fd);
+  }
   server.Stop();
 }
 

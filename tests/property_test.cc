@@ -292,9 +292,8 @@ std::vector<std::string> SampleTexts(const Database& db, int limit) {
   return texts;
 }
 
-/// Runs every verifier — serial and the parallel batched engine — over the
-/// ET and asserts they agree; returns the number of candidates so callers
-/// can assert the scenario was not vacuous.
+/// Runs every verifier over the ET and asserts they agree; returns the
+/// number of candidates so callers can assert the scenario was not vacuous.
 size_t ExpectAllVerifiersAgree(Workbench& wb, const ExampleTable& et,
                                uint64_t seed) {
   std::vector<CandidateQuery> candidates =
@@ -310,14 +309,8 @@ size_t ExpectAllVerifiersAgree(Workbench& wb, const ExampleTable& et,
   FilterVerifier filter_lazy(0.1, true);
   CandidateVerifier* algos[] = {&simple_prune, &filter_lazy, &verify_all};
   for (CandidateVerifier* algo : algos) {
-    for (int threads : {1, 4}) {
-      VerifyContext par_ctx = ctx;
-      par_ctx.verify.threads = threads;
-      par_ctx.verify.batch_size = 2;
-      VerificationCounters counters;
-      EXPECT_EQ(algo->Verify(par_ctx, &counters), reference)
-          << algo->name() << " at " << threads << " threads";
-    }
+    VerificationCounters counters;
+    EXPECT_EQ(algo->Verify(ctx, &counters), reference) << algo->name();
   }
   return candidates.size();
 }
@@ -325,8 +318,8 @@ size_t ExpectAllVerifiersAgree(Workbench& wb, const ExampleTable& et,
 class EtEdgeCaseTest : public ::testing::TestWithParam<uint64_t> {};
 
 // Hand-crafted ETs around the tokenizer edge cases must flow through the
-// whole pipeline — candidate generation and every verifier, serial and
-// parallel — without crashes and with all algorithms agreeing.
+// whole pipeline — candidate generation and every verifier — without
+// crashes and with all algorithms agreeing.
 TEST_P(EtEdgeCaseTest, PipelineHandlesDegenerateCells) {
   uint64_t seed = GetParam();
   Workbench wb(seed);

@@ -1,17 +1,14 @@
 // Tracing observation-only differential (DESIGN.md §13): discovery output,
 // verification counts, and eval-cache key sets must be bit-identical with
-// tracing off, sampled (50%), and at 100%, at 1, 2 and 8 verify threads.
-// Runs under both sanitizer CI legs (labels: slow trace).
+// tracing off, sampled (50%), and at 100%. Runs under both sanitizer CI
+// legs (labels: slow trace).
 //
 // Two comparison surfaces:
-//  - cache-free runs compare verification counts exactly — without a cache
-//    the batched engine's counts are thread-deterministic, so any drift
+//  - cache-free runs compare verification counts exactly, so any drift
 //    here is tracing perturbing control flow;
-//  - cached runs compare the *set* of eval-cache keys ever looked up.
-//    Concurrent workers may race a miss on a shared key (both evaluate),
-//    so raw counts are timing-dependent there — but every evaluation
-//    performs its lookup first and cached outcomes equal computed ones,
-//    making the lookup key set deterministic and tracing-independent.
+//  - cached runs additionally compare the *set* of eval-cache keys ever
+//    looked up: every evaluation performs its lookup first and cached
+//    outcomes equal computed ones, so the key set is tracing-independent.
 
 #include <gtest/gtest.h>
 
@@ -33,7 +30,7 @@ namespace {
 
 constexpr int kNumEts = 6;
 
-/// Thread-safe EvalCacheBase that records every key ever looked up.
+/// EvalCacheBase that records every key ever looked up.
 class RecordingEvalCache : public EvalCacheBase {
  public:
   std::optional<bool> Lookup(const std::string& key) override {
@@ -126,7 +123,7 @@ struct RunOutcome {
   std::set<std::string> cache_keys;              // whole run (cached only)
 };
 
-RunOutcome RunWorkload(int threads, TraceMode mode, bool with_cache) {
+RunOutcome RunWorkload(TraceMode mode, bool with_cache) {
   Workload& wl = SharedWorkload();
   RecordingEvalCache cache;
   TraceSampler sampler{0.5, 2026};
@@ -136,8 +133,6 @@ RunOutcome RunWorkload(int threads, TraceMode mode, bool with_cache) {
                   (mode == TraceMode::kSampled && sampler.Sample(i));
     TraceContext trace;
     DiscoveryOptions options;
-    options.verify.threads = threads;
-    options.verify.batch_size = 4;
     if (with_cache) options.cache = &cache;
     if (traced) options.trace = &trace;
     DiscoveryResult result = DiscoverQueries(wl.db, wl.ets[i], options);
@@ -156,7 +151,7 @@ RunOutcome RunWorkload(int threads, TraceMode mode, bool with_cache) {
       Trace stitched = trace.Stitch();
       std::string why;
       EXPECT_TRUE(stitched.WellFormed(&why))
-          << why << " (et " << i << ", " << threads << " threads)";
+          << why << " (et " << i << ")";
       EXPECT_EQ(stitched.counter(TraceCounter::kValidQueries),
                 static_cast<int64_t>(result.queries.size()));
     }
@@ -166,54 +161,37 @@ RunOutcome RunWorkload(int threads, TraceMode mode, bool with_cache) {
 }
 
 void ExpectSameResults(const RunOutcome& a, const RunOutcome& b,
-                       int threads, TraceMode mode) {
+                       TraceMode mode) {
   EXPECT_EQ(a.sql, b.sql)
-      << "discovered queries drift with tracing " << ModeName(mode) << " at "
-      << threads << " threads";
+      << "discovered queries drift with tracing " << ModeName(mode);
   EXPECT_EQ(a.scores, b.scores)
-      << "ranking scores drift with tracing " << ModeName(mode) << " at "
-      << threads << " threads";
+      << "ranking scores drift with tracing " << ModeName(mode);
   EXPECT_EQ(a.num_candidates, b.num_candidates);
+  EXPECT_EQ(a.verifications, b.verifications)
+      << "verification counts drift with tracing " << ModeName(mode);
 }
-
-class TraceOverheadTest : public ::testing::TestWithParam<int> {};
 
 // Cache-free: results AND exact verification counts are identical across
-// tracing modes (counts are thread-deterministic without a cache).
-TEST_P(TraceOverheadTest, CacheFreeRunsAreBitIdenticalAcrossTracingModes) {
-  int threads = GetParam();
-  RunOutcome off = RunWorkload(threads, TraceMode::kOff, false);
+// tracing modes.
+TEST(TraceOverheadTest, CacheFreeRunsAreBitIdenticalAcrossTracingModes) {
+  RunOutcome off = RunWorkload(TraceMode::kOff, false);
   for (TraceMode mode : {TraceMode::kSampled, TraceMode::kFull}) {
-    RunOutcome on = RunWorkload(threads, mode, false);
-    ExpectSameResults(off, on, threads, mode);
-    EXPECT_EQ(off.verifications, on.verifications)
-        << "verification counts drift with tracing " << ModeName(mode)
-        << " at " << threads << " threads";
+    ExpectSameResults(off, RunWorkload(mode, false), mode);
   }
 }
 
-// Cached: results and the set of eval-cache keys looked up are identical
-// across tracing modes; counts are additionally exact when serial.
-TEST_P(TraceOverheadTest, CachedRunsLookUpIdenticalKeySets) {
-  int threads = GetParam();
-  RunOutcome off = RunWorkload(threads, TraceMode::kOff, true);
+// Cached: results, counts and the set of eval-cache keys looked up are
+// identical across tracing modes.
+TEST(TraceOverheadTest, CachedRunsLookUpIdenticalKeySets) {
+  RunOutcome off = RunWorkload(TraceMode::kOff, true);
   EXPECT_FALSE(off.cache_keys.empty());
   for (TraceMode mode : {TraceMode::kSampled, TraceMode::kFull}) {
-    RunOutcome on = RunWorkload(threads, mode, true);
-    ExpectSameResults(off, on, threads, mode);
+    RunOutcome on = RunWorkload(mode, true);
+    ExpectSameResults(off, on, mode);
     EXPECT_EQ(off.cache_keys, on.cache_keys)
-        << "eval-cache key set drifts with tracing " << ModeName(mode)
-        << " at " << threads << " threads";
-    if (threads == 1) {
-      EXPECT_EQ(off.verifications, on.verifications)
-          << "serial cached verification counts drift with tracing "
-          << ModeName(mode);
-    }
+        << "eval-cache key set drifts with tracing " << ModeName(mode);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, TraceOverheadTest,
-                         ::testing::Values(1, 2, 8));
 
 }  // namespace
 }  // namespace qbe

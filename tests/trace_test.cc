@@ -28,6 +28,8 @@
 #include "obs/slow_log.h"
 #include "service/discovery_service.h"
 #include "service/metrics.h"
+#include "shard/coordinator.h"
+#include "shard/partition.h"
 
 namespace qbe {
 namespace {
@@ -299,6 +301,26 @@ TEST(SlowQueryJsonTest, EscapesControlAndQuoteCharacters) {
   EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
+/// Asserts that every eval-exec and eval-cache-lookup span of `trace` hangs
+/// directly off its one FILTER span: verification runs on the thread that
+/// opened that span, so nesting alone attributes each evaluation to it.
+void ExpectEvalSpansNestUnderFilter(const Trace& trace) {
+  int32_t filter = -1;
+  for (size_t i = 0; i < trace.spans.size(); ++i) {
+    if (trace.spans[i].kind == SpanKind::kFilter) {
+      filter = static_cast<int32_t>(i);
+    }
+  }
+  ASSERT_GE(filter, 0);
+  for (const TraceSpan& span : trace.spans) {
+    if (span.kind != SpanKind::kEvalExec &&
+        span.kind != SpanKind::kEvalCacheLookup) {
+      continue;
+    }
+    EXPECT_EQ(span.parent, filter) << SpanKindName(span.kind);
+  }
+}
+
 TEST(TraceDiscoveryTest, SampledRequestCoversAllPhases) {
   Database db = MakeRetailerDatabase();
   ExampleTable et = MakeFigure2ExampleTable();
@@ -311,6 +333,7 @@ TEST(TraceDiscoveryTest, SampledRequestCoversAllPhases) {
   ASSERT_TRUE(result.ok());
 
   Trace stitched = trace.Stitch();
+  ExpectEvalSpansNestUnderFilter(stitched);
   std::string why;
   EXPECT_TRUE(stitched.WellFormed(&why)) << why;
   // The acceptance criterion: candidate-gen, verify, text-match and cache
@@ -331,9 +354,36 @@ TEST(TraceDiscoveryTest, SampledRequestCoversAllPhases) {
   EXPECT_EQ(stitched.dropped_spans, 0);
 }
 
+// The same nesting holds when each evaluation is a scatter-gather probe
+// over shards.
+TEST(TraceDiscoveryTest, ShardedRequestNestsEvalSpansUnderFilter) {
+  Database db = MakeRetailerDatabase();
+  PartitionOptions partition;
+  partition.num_shards = 2;
+  std::vector<Database> shards =
+      SplitDatabase(db, ComputePartitionPlan(db, partition));
+  std::vector<DbView> views(shards.begin(), shards.end());
+  EvalCache cache;
+  TraceContext trace;
+  DiscoveryOptions options;
+  options.cache = &cache;
+  options.trace = &trace;
+  DiscoveryResult result =
+      DiscoverQueriesSharded(views, MakeFigure2ExampleTable(), options);
+  ASSERT_TRUE(result.ok()) << result.error;
+
+  Trace stitched = trace.Stitch();
+  std::string why;
+  EXPECT_TRUE(stitched.WellFormed(&why)) << why;
+  EXPECT_EQ(stitched.PhaseCount(SpanKind::kFilter), 1u);
+  EXPECT_GE(stitched.PhaseCount(SpanKind::kEvalCacheLookup), 1u);
+  EXPECT_GE(stitched.PhaseCount(SpanKind::kEvalExec), 1u);
+  ExpectEvalSpansNestUnderFilter(stitched);
+}
+
 TEST(TraceDiscoveryTest, TracingDoesNotChangeOutcomes) {
-  // The deep off/sampled/full differential (1/2/8 threads, cache key sets)
-  // lives in trace_overhead_test.cc; this is the fast tier-1 smoke.
+  // The deep off/sampled/full differential (cache key sets) lives in
+  // trace_overhead_test.cc; this is the fast tier-1 smoke.
   Database db = MakeRetailerDatabase();
   ExampleTable et = MakeFigure2ExampleTable();
   DiscoveryResult plain = DiscoverQueries(db, et);

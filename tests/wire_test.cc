@@ -373,6 +373,39 @@ TEST(WirePayloadTest, ImplausibleCountsRejectedWithoutAllocation) {
   EXPECT_FALSE(error.empty());
 }
 
+/// Encodes `request` as a checksummed frame and decodes its payload.
+bool DecodesAfterFraming(const WireRequest& request, std::string* error) {
+  std::string bytes;
+  EncodeRequestFrame(request, &bytes);
+  FrameView frame = MustExtract(bytes);
+  WireRequest decoded;
+  return DecodeRequestPayload(frame.payload, frame.payload_bytes, &decoded,
+                              error);
+}
+
+TEST(WirePayloadTest, ExampleTableShapesBeyondLimitsRejected) {
+  std::string error;
+  // 33 columns: framing and checksum are valid, but ExampleTable holds 32.
+  WireRequest too_wide;
+  too_wide.column_names.resize(ExampleTable::kMaxColumns + 1);
+  too_wide.rows.emplace_back(ExampleTable::kMaxColumns + 1,
+                             EtCell{"Mike", false});
+  EXPECT_FALSE(DecodesAfterFraming(too_wide, &error));
+  EXPECT_NE(error.find("33 columns"), std::string::npos) << error;
+
+  // No columns and no rows.
+  error.clear();
+  EXPECT_FALSE(DecodesAfterFraming(WireRequest{}, &error));
+  EXPECT_FALSE(error.empty());
+
+  // Exactly 32 columns still decodes and converts.
+  WireRequest widest;
+  widest.column_names.resize(ExampleTable::kMaxColumns);
+  widest.rows.emplace_back(ExampleTable::kMaxColumns, EtCell{"Mike", false});
+  EXPECT_TRUE(DecodesAfterFraming(widest, &error)) << error;
+  EXPECT_EQ(widest.ToExampleTable().num_columns(), ExampleTable::kMaxColumns);
+}
+
 TEST(WirePayloadTest, ErrorPayloadFaultCodeRangeChecked) {
   std::string bytes;
   EncodeErrorFrame(SampleError(), &bytes);

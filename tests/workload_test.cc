@@ -45,6 +45,19 @@ TEST(ParseRequestLineTest, RejectsWideRowNamingIt) {
   EXPECT_NE(error.find("3 cells"), std::string::npos) << error;
 }
 
+TEST(ParseRequestLineTest, RejectsMoreColumnsThanAnExampleTableHolds) {
+  std::string line = "a";
+  for (int c = 1; c < ExampleTable::kMaxColumns; ++c) line += "|a";
+  std::string error;
+  std::optional<ExampleTable> et = ParseRequestLine(line, &error);
+  ASSERT_TRUE(et.has_value()) << error;
+  EXPECT_EQ(et->num_columns(), ExampleTable::kMaxColumns);
+
+  et = ParseRequestLine(line + "|a", &error);
+  EXPECT_FALSE(et.has_value());
+  EXPECT_NE(error.find("33 cells"), std::string::npos) << error;
+}
+
 TEST(ParseRequestLineTest, RejectsAllEmptyCells) {
   std::string error;
   EXPECT_FALSE(ParseRequestLine("||;||", &error).has_value());

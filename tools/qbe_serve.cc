@@ -139,7 +139,6 @@ int main(int argc, char** argv) {
   service_options.wal_path = args.wal_path;
   service_options.compact_after_ops = args.compact_after;
   service_options.compact_snapshot_path = args.compact_snapshot;
-  service_options.discovery.verify.threads = args.verify_threads;
   service_options.discovery.algorithm =
       *qbe::ParseAlgorithmName(args.algorithm);
   service_options.trace_sample = args.trace_sample;
