@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the substrates behind the query
 // discovery system: tokenizer, FTS index build/probe, master column index,
-// the semijoin executor, subtree enumeration, candidate generation and
-// filter-universe construction. These quantify the paper's claim that
-// candidate generation is "a negligible fraction of the overall query
-// processing time" relative to verification.
+// the semijoin executor, subtree enumeration, candidate generation,
+// filter-universe construction and whole FILTER runs. These quantify the
+// paper's claim that candidate generation is "a negligible fraction of the
+// overall query processing time" relative to verification.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,9 @@
 
 #include "core/candidate_gen.h"
 #include "core/filter_universe.h"
+#include "core/filter_verifier.h"
+#include "datagen/cust_like.h"
+#include "datagen/et_gen.h"
 #include "datagen/imdb_like.h"
 #include "datagen/retailer.h"
 #include "exec/executor.h"
@@ -206,6 +209,82 @@ void BM_FilterUniverseBuild(benchmark::State& state) {
   state.counters["candidates"] = static_cast<double>(candidates.size());
 }
 BENCHMARK(BM_FilterUniverseBuild);
+
+/// One ET from the heavy tail of CUST-like ETs (§6.1 sampling, scale 0.2):
+/// ~7,300 candidates and ~34,000 filters, the shape that sets the CUST
+/// workload's p99 under FILTER.
+struct CustHeavyCase {
+  CustHeavyCase()
+      : db([] {
+          CustConfig config;
+          config.scale = 0.2;
+          return MakeCustLikeDatabase(config);
+        }()),
+        graph(db),
+        exec(db, graph),
+        et([this] {
+          EtSource::Options options;
+          options.min_matrix_rows = 8;
+          EtSource source(db, graph, exec, 3, options);
+          return source.SampleMany(EtParams{}, 60, 17)[4];
+        }()),
+        candidates(GenerateCandidates(db, graph, et, {})) {}
+
+  Database db;
+  SchemaGraph graph;
+  Executor exec;
+  ExampleTable et;
+  std::vector<CandidateQuery> candidates;
+};
+
+const CustHeavyCase& CustHeavy() {
+  static const CustHeavyCase& c = *new CustHeavyCase();
+  return c;
+}
+
+// FILTER's planning alone on the heavy CUST ET.
+void BM_FilterUniverseBuildCustHeavy(benchmark::State& state) {
+  const CustHeavyCase& c = CustHeavy();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildFilterUniverse(c.graph, c.et, c.candidates));
+  }
+  state.counters["candidates"] = static_cast<double>(c.candidates.size());
+}
+BENCHMARK(BM_FilterUniverseBuildCustHeavy)->Unit(benchmark::kMillisecond);
+
+// The whole of FILTER — planning, greedy selection and the existence
+// queries — on the small IMDB ET and on the heavy CUST ET. Subtracting the
+// build arms above separates planning from the executor.
+void BM_FilterVerifyImdb(benchmark::State& state) {
+  const Database& db = ImdbDb();
+  const SchemaGraph& graph = ImdbGraph();
+  const Executor exec(db, graph);
+  ExampleTable et = NameTitleEt();
+  std::vector<CandidateQuery> candidates =
+      GenerateCandidates(db, graph, et, {});
+  VerifyContext ctx{db, graph, exec, et, candidates, 42};
+  FilterVerifier filter;
+  for (auto _ : state) {
+    VerificationCounters counters;
+    benchmark::DoNotOptimize(filter.Verify(ctx, &counters));
+    state.counters["verifications"] =
+        static_cast<double>(counters.verifications);
+  }
+}
+BENCHMARK(BM_FilterVerifyImdb);
+
+void BM_FilterVerifyCustHeavy(benchmark::State& state) {
+  const CustHeavyCase& c = CustHeavy();
+  VerifyContext ctx{c.db, c.graph, c.exec, c.et, c.candidates, 42};
+  FilterVerifier filter;
+  for (auto _ : state) {
+    VerificationCounters counters;
+    benchmark::DoNotOptimize(filter.Verify(ctx, &counters));
+    state.counters["verifications"] =
+        static_cast<double>(counters.verifications);
+  }
+}
+BENCHMARK(BM_FilterVerifyCustHeavy)->Unit(benchmark::kMillisecond);
 
 void BM_RetailerDiscoveryEndToEnd(benchmark::State& state) {
   const Database& db = *new Database(MakeRetailerDatabase());

@@ -12,7 +12,10 @@ namespace {
 
 enum class FilterState : uint8_t { kUnknown, kSuccess, kFailed };
 
-/// All mutable bookkeeping of one Algorithm 1 run.
+/// All mutable bookkeeping of one Algorithm 1 run. Outcomes are tracked
+/// per predicate class (FilterUniverse): the members of a class run the
+/// same existence query and imply each other, so they always share their
+/// state and FX membership.
 struct AdaptiveState {
   const FilterUniverse& u;
   const VerifyContext& ctx;
@@ -21,15 +24,20 @@ struct AdaptiveState {
   int evaluated = 0;
   int failed = 0;
 
-  std::vector<FilterState> state;
-  std::vector<char> in_fx;          // FX membership
+  std::vector<FilterState> state;   // per class
+  std::vector<char> in_fx;          // per class: FX membership
   std::vector<char> alive;          // QX membership
   std::vector<bool> valid;
   std::vector<int> rem;             // |F(Q) ∩ FX| per query
   std::vector<int> basic_unresolved;  // basic filters not yet known-success
   std::vector<int> live_count;      // alive queries containing each filter
-  std::vector<std::vector<int>> basic_owners;  // filter -> queries it's basic for
+  /// Per class: Σ live_count over its members while the class is in FX,
+  /// 0 once it leaves — the class's whole contribution to any W+.
+  std::vector<int64_t> fx_live;
   int num_alive;
+  // nF of each filter and n of the ET (§5.3.1), read on every Score.
+  std::vector<uint8_t> num_cells;
+  int num_columns;
 
   // Per-filter selection cost under the configured cost model (the
   // counters always charge the paper's tree-size cost so metrics stay
@@ -40,24 +48,34 @@ struct AdaptiveState {
                 double prior)
       : u(universe), ctx(context), failure_prior(prior) {
     int nf = u.num_filters();
+    int nc = u.num_classes();
     int nq = static_cast<int>(ctx.candidates.size());
-    state.assign(nf, FilterState::kUnknown);
-    in_fx.assign(nf, 1);
+    state.assign(nc, FilterState::kUnknown);
+    in_fx.assign(nc, 1);
     alive.assign(nq, 1);
     valid.assign(nq, false);
     rem.resize(nq);
     basic_unresolved.resize(nq);
     live_count.assign(nf, 0);
-    basic_owners.resize(nf);
+    fx_live.assign(nc, 0);
     num_alive = nq;
+    num_cells.resize(nf);
+    for (int f = 0; f < nf; ++f) {
+      num_cells[f] = static_cast<uint8_t>(u.filters[f].NumConstrainedCells());
+    }
+    num_columns = ctx.et.num_columns();
     for (int q = 0; q < nq; ++q) {
       rem[q] = static_cast<int>(u.filters_of_query[q].size());
       basic_unresolved[q] =
           static_cast<int>(u.basic_filters_of_query[q].size());
-      for (int f : u.filters_of_query[q]) live_count[f] += 1;
-      for (int f : u.basic_filters_of_query[q]) basic_owners[f].push_back(q);
+      for (int f : u.filters_of_query[q]) {
+        live_count[f] += 1;
+        fx_live[u.class_of[f]] += 1;
+      }
     }
   }
+
+  bool InFx(int f) const { return in_fx[u.class_of[f]] != 0; }
 
   double FailureProbability(int f) const {
     double prior = failure_prior;
@@ -67,8 +85,7 @@ struct AdaptiveState {
       // structure, only the constant tracks the workload.
       prior = std::clamp((1.0 + failed) / (2.0 + evaluated), 0.02, 0.9);
     }
-    return prior * u.filters[f].NumConstrainedCells() /
-           ctx.et.num_columns();
+    return prior * num_cells[f] / num_columns;
   }
 
   void RecordOutcome(bool success) {
@@ -77,27 +94,34 @@ struct AdaptiveState {
   }
 
   /// E[W(F | ...)] / cost(F), Eqs. (5)-(7) and (9). W+ counts the
-  /// (query, filter) pairs whose success would be implied; W- counts the
-  /// remaining unevaluated filters of every query the failure would kill.
+  /// (query, filter) pairs whose success would be implied: live_count over
+  /// F and its sub-filters still in FX, one aggregate per sub-class. W-
+  /// counts the remaining unevaluated filters of every query the failure
+  /// would kill. Both are exact integer sums, so the order of summation
+  /// cannot change a score.
   double Score(int f) const {
-    double w_plus = live_count[f];  // F implies its own success trivially
-    for (int sub : u.subs_of[f]) {
-      if (in_fx[sub]) w_plus += live_count[sub];
-    }
-    double w_minus = 0;
+    const int c = u.class_of[f];
+    // F implies its own success trivially, even once it has left FX.
+    int64_t w_plus = in_fx[c] ? 0 : live_count[f];
+    for (int sub : u.sub_classes[c]) w_plus += fx_live[sub];
+    int64_t w_minus = 0;
     for (int q : u.queries_of_filter[f]) {
       if (alive[q]) w_minus += rem[q];
     }
     double p = FailureProbability(f);
-    double expected = (1.0 - p) * w_plus + p * w_minus;
+    double expected = (1.0 - p) * static_cast<double>(w_plus) +
+                      p * static_cast<double>(w_minus);
     return expected / selection_cost[f];
   }
 
-  void RemoveFromFx(int f) {
-    if (!in_fx[f]) return;
-    in_fx[f] = 0;
-    for (int q : u.queries_of_filter[f]) {
-      if (alive[q]) rem[q] -= 1;
+  void RemoveFromFx(int c) {
+    if (!in_fx[c]) return;
+    in_fx[c] = 0;
+    fx_live[c] = 0;
+    for (int f : u.class_members[c]) {
+      for (int q : u.queries_of_filter[f]) {
+        if (alive[q]) rem[q] -= 1;
+      }
     }
   }
 
@@ -106,36 +130,45 @@ struct AdaptiveState {
     alive[q] = 0;
     valid[q] = is_valid;
     num_alive -= 1;
-    for (int f : u.filters_of_query[q]) live_count[f] -= 1;
-  }
-
-  void MarkSuccess(int f) {
-    if (state[f] != FilterState::kUnknown) return;
-    state[f] = FilterState::kSuccess;
-    RemoveFromFx(f);
-    for (int q : basic_owners[f]) {
-      if (!alive[q]) continue;
-      if (--basic_unresolved[q] == 0) ResolveQuery(q, /*is_valid=*/true);
+    for (int f : u.filters_of_query[q]) {
+      live_count[f] -= 1;
+      const int c = u.class_of[f];
+      if (in_fx[c]) fx_live[c] -= 1;
     }
   }
 
-  void MarkFailure(int f) {
-    if (state[f] != FilterState::kUnknown) return;
-    state[f] = FilterState::kFailed;
-    RemoveFromFx(f);
-    for (int q : u.queries_of_filter[f]) ResolveQuery(q, /*is_valid=*/false);
+  void MarkSuccess(int c) {
+    if (state[c] != FilterState::kUnknown) return;
+    state[c] = FilterState::kSuccess;
+    RemoveFromFx(c);
+    for (int f : u.class_members[c]) {
+      for (int q : u.basic_queries_of_filter[f]) {
+        if (!alive[q]) continue;
+        if (--basic_unresolved[q] == 0) ResolveQuery(q, /*is_valid=*/true);
+      }
+    }
+  }
+
+  void MarkFailure(int c) {
+    if (state[c] != FilterState::kUnknown) return;
+    state[c] = FilterState::kFailed;
+    RemoveFromFx(c);
+    for (int f : u.class_members[c]) {
+      for (int q : u.queries_of_filter[f]) {
+        ResolveQuery(q, /*is_valid=*/false);
+      }
+    }
   }
 
   /// Applies an evaluation outcome with full dependency propagation; the
-  /// sub/super lists are transitively closed by construction (the
-  /// sub-filter relation is transitive), so one pass suffices.
+  /// class lists are transitively closed and include the class itself, so
+  /// one pass marks F and every implied filter, each class once.
   void Apply(int f, bool success) {
+    const int c = u.class_of[f];
     if (success) {
-      MarkSuccess(f);
-      for (int sub : u.subs_of[f]) MarkSuccess(sub);  // Lemma 4
+      for (int sub : u.sub_classes[c]) MarkSuccess(sub);  // Lemma 4
     } else {
-      MarkFailure(f);
-      for (int super : u.supers_of[f]) MarkFailure(super);  // Lemma 3
+      for (int super : u.super_classes[c]) MarkFailure(super);  // Lemma 3
     }
   }
 
@@ -146,7 +179,7 @@ struct AdaptiveState {
     for (size_t q = 0; q < alive.size(); ++q) {
       if (!alive[q]) continue;
       for (int f : u.basic_filters_of_query[q]) {
-        if (in_fx[f]) return f;
+        if (InFx(f)) return f;
       }
     }
     return -1;
@@ -157,7 +190,7 @@ int SelectExact(const AdaptiveState& s) {
   int best = -1;
   double best_score = 0.0;
   for (int f = 0; f < s.u.num_filters(); ++f) {
-    if (!s.in_fx[f]) continue;
+    if (!s.InFx(f)) continue;
     double score = s.Score(f);
     if (score > best_score) {
       best_score = score;
@@ -175,7 +208,7 @@ int SelectLazy(const AdaptiveState& s,
   while (!heap.empty()) {
     auto [stale, f] = heap.top();
     heap.pop();
-    if (!s.in_fx[f]) continue;
+    if (!s.InFx(f)) continue;
     double fresh = s.Score(f);
     if (heap.empty() || fresh >= heap.top().first) return f;
     heap.emplace(fresh, f);
@@ -192,7 +225,14 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
   EvalEngine engine(ctx, counters,
                     ctx.subtree_memo ? &subtree_memo : nullptr);
   FilterUniverse universe =
-      BuildFilterUniverse(ctx.graph, ctx.et, ctx.candidates);
+      BuildFilterUniverse(ctx.graph, ctx.et, ctx.candidates, ctx.deadline);
+  // A universe cut short by the deadline cannot drive Algorithm 1; the
+  // caller voids the run (counters.aborted), as for an abort mid-loop.
+  if (universe.stopped_early) {
+    counters->aborted = true;
+    counters->elapsed_seconds += timer.ElapsedSeconds();
+    return std::vector<bool>(ctx.candidates.size(), false);
+  }
   AdaptiveState s(universe, ctx, options_.failure_prior);
   s.adaptive_prior = options_.adaptive_prior;
   s.selection_cost.resize(universe.num_filters());
@@ -210,9 +250,11 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
 
   // Trivially successful filters (see Filter::IsTriviallySuccessful) are
   // resolved up front: candidate generation already proved them, so no
-  // verification is spent and the greedy never gambles on them.
-  for (int f = 0; f < universe.num_filters(); ++f) {
-    const Filter& filter = universe.filters[f];
+  // verification is spent and the greedy never gambles on them. Triviality
+  // depends only on the tree and the constrained cells, so it is decided
+  // once per class.
+  for (int c = 0; c < universe.num_classes(); ++c) {
+    const Filter& filter = universe.filters[universe.class_members[c][0]];
     if (!filter.IsTriviallySuccessful()) continue;
     // Sharded mode: emptiness is a global property — a relation can be
     // empty in shard 0 yet populated elsewhere, so the check must sum
@@ -221,11 +263,16 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
         ctx.shards != nullptr
             ? ctx.shards->TotalLiveRows(filter.tree.verts.First())
             : DbView(ctx.db, ctx.delta).LiveRows(filter.tree.verts.First());
-    if (live_rows > 0) s.MarkSuccess(f);
+    if (live_rows > 0) s.MarkSuccess(c);
   }
 
   // Algorithm 1: evaluate the next filter, then propagate its outcome
   // before choosing again. Lazy and exact greedy differ only in the pick.
+  // The deadline is polled once per pick, so an expired request stops
+  // before the next selection instead of after the whole plan.
+  // Filters resolved up front are seeded too: their stale entries take part
+  // in SelectLazy's comparisons, so dropping them would change which of two
+  // equally scored filters is picked.
   std::priority_queue<std::pair<double, int>> heap;
   if (options_.lazy_greedy) {
     for (int f = 0; f < universe.num_filters(); ++f) {
@@ -233,6 +280,10 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
     }
   }
   while (s.num_alive > 0) {
+    if (ctx.deadline != nullptr && ctx.deadline->Expired()) {
+      counters->aborted = true;
+      break;
+    }
     int chosen = options_.lazy_greedy ? SelectLazy(s, heap) : SelectExact(s);
     QBE_CHECK(chosen >= 0);
     bool ok = engine.EvaluateFilter(universe.filters[chosen]);

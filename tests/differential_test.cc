@@ -4,8 +4,9 @@
 //
 //  1. FILTER (lazy and exact), VERIFYALL and SIMPLEPRUNE return identical
 //     minimal-valid-query sets (the paper's §2.3 invariant), and
-//  2. every algorithm's number of evaluated existence queries matches the
-//     golden snapshot.
+//  2. every algorithm's number of evaluated existence queries, and the
+//     estimated cost of the queries it evaluated, match the golden
+//     snapshots.
 //
 // Instances are drawn as 20 seeded scaled-retailer databases × 10 random
 // ETs each = 200 (database, ET) pairs, sharded into gtest params so
@@ -59,17 +60,15 @@ std::vector<ExampleTable> RandomEts(Workbench& wb, uint64_t seed) {
   return source.SampleMany(params, kEtsPerSeed, seed * 131 + 7);
 }
 
-/// Runs `algo` and returns (valid set, #verifications).
-std::pair<std::vector<bool>, int64_t> RunEngine(const Workbench& wb,
-                                                const ExampleTable& et,
-                                                const std::vector<
-                                                    CandidateQuery>& cands,
-                                                CandidateVerifier& algo,
-                                                uint64_t seed) {
+/// Runs `algo` and returns (valid set, counters).
+std::pair<std::vector<bool>, VerificationCounters> RunEngine(
+    const Workbench& wb, const ExampleTable& et,
+    const std::vector<CandidateQuery>& cands, CandidateVerifier& algo,
+    uint64_t seed) {
   VerifyContext ctx{wb.db, wb.graph, wb.exec, et, cands, seed};
   VerificationCounters counters;
   std::vector<bool> valid = algo.Verify(ctx, &counters);
-  return {std::move(valid), counters.verifications};
+  return {std::move(valid), counters};
 }
 
 class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -95,7 +94,7 @@ TEST_P(DifferentialTest, AlgorithmsAgreeOnRandomInstances) {
     FilterVerifier filter_exact(0.1, false);
     CandidateVerifier* algos[] = {&simple_prune, &filter_lazy, &filter_exact};
     for (CandidateVerifier* algo : algos) {
-      auto [valid, verifs] = RunEngine(wb, et, cands, *algo, seed);
+      auto [valid, algo_counters] = RunEngine(wb, et, cands, *algo, seed);
       EXPECT_EQ(valid, reference)
           << algo->name() << " disagrees with VerifyAll (seed " << seed
           << ", instance " << instances << ")";
@@ -109,13 +108,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
 
 // Part 2: verification-count regression harness. The serial per-algorithm
 // verification counts over all 200 seeded instances are snapshotted into
-// tests/golden/verify_counts.json (key "sNN.eNN.algo"); any drift fails.
-// Counts are the paper's cost currency (Table 4, Figure 9): a pruning or
-// filter-scheduling regression shows up here even when the valid sets —
-// which part 1 pins — still agree. Regenerate intentionally with
+// tests/golden/verify_counts.json (key "sNN.eNN.algo"), and the estimated
+// cost (Σ join-tree sizes of the evaluated queries) into
+// tests/golden/estimated_costs.json; any drift fails. Counts are the
+// paper's cost currency (Table 4, Figure 9): a pruning or filter-scheduling
+// regression shows up here even when the valid sets — which part 1 pins —
+// still agree, and the cost catches a change to *which* filters FILTER
+// picks even when their number stays equal. Regenerate intentionally with
 //   QBE_UPDATE_GOLDEN=1 ctest -R differential_test
 
 using CountMap = std::map<std::string, int64_t>;
+
+struct GoldenMaps {
+  CountMap verifications;
+  CountMap estimated_cost;
+};
 
 std::string InstanceKey(uint64_t seed, int et, const char* algo) {
   char buf[64];
@@ -124,8 +131,8 @@ std::string InstanceKey(uint64_t seed, int et, const char* algo) {
   return buf;
 }
 
-CountMap CollectVerifyCounts() {
-  CountMap counts;
+GoldenMaps CollectVerifyCounts() {
+  GoldenMaps maps;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Workbench wb(seed);
     int e = 0;
@@ -144,22 +151,24 @@ CountMap CollectVerifyCounts() {
           {"filter", &filter_lazy},     {"filterexact", &filter_exact},
           {"weave", &weave}};
       for (auto [name, algo] : algos) {
-        auto [valid, verifs] = RunEngine(wb, et, cands, *algo, seed);
+        auto [valid, counters] = RunEngine(wb, et, cands, *algo, seed);
         (void)valid;
-        counts[InstanceKey(seed, e - 1, name)] = verifs;
+        const std::string key = InstanceKey(seed, e - 1, name);
+        maps.verifications[key] = counters.verifications;
+        maps.estimated_cost[key] = counters.estimated_cost;
       }
     }
   }
-  return counts;
+  return maps;
 }
 
-std::string GoldenPath() {
-  return std::string(QBE_GOLDEN_DIR) + "/verify_counts.json";
+std::string GoldenPath(const char* file) {
+  return std::string(QBE_GOLDEN_DIR) + "/" + file;
 }
 
-void WriteGolden(const CountMap& counts) {
-  std::ofstream out(GoldenPath());
-  ASSERT_TRUE(out.is_open()) << "cannot write " << GoldenPath();
+void WriteGolden(const std::string& path, const CountMap& counts) {
+  std::ofstream out(path);
+  ASSERT_TRUE(out.is_open()) << "cannot write " << path;
   out << "{\n";
   size_t i = 0;
   for (const auto& [key, value] : counts) {
@@ -170,8 +179,8 @@ void WriteGolden(const CountMap& counts) {
 }
 
 /// Parses the flat {"key": int, ...} golden file; false on read failure.
-bool ReadGolden(CountMap* counts) {
-  std::ifstream in(GoldenPath());
+bool ReadGolden(const std::string& path, CountMap* counts) {
+  std::ifstream in(path);
   if (!in.is_open()) return false;
   std::stringstream buffer;
   buffer << in.rdbuf();
@@ -189,39 +198,44 @@ bool ReadGolden(CountMap* counts) {
   return !counts->empty();
 }
 
-TEST(VerifyCountGoldenTest, CountsMatchGoldenSnapshot) {
-  CountMap counts = CollectVerifyCounts();
-  ASSERT_FALSE(counts.empty());
-
+/// Compares both directions with per-key messages: a bare map EXPECT_EQ
+/// would drown the signal in one giant diff.
+void ExpectMatchesGolden(const char* file, const char* what,
+                         const CountMap& counts) {
+  const std::string path = GoldenPath(file);
   if (std::getenv("QBE_UPDATE_GOLDEN") != nullptr) {
-    WriteGolden(counts);
-    GTEST_LOG_(INFO) << "wrote " << counts.size() << " counts to "
-                     << GoldenPath();
+    WriteGolden(path, counts);
+    GTEST_LOG_(INFO) << "wrote " << counts.size() << " values to " << path;
     return;
   }
 
   CountMap golden;
-  ASSERT_TRUE(ReadGolden(&golden))
-      << GoldenPath() << " missing or unreadable; regenerate with "
+  ASSERT_TRUE(ReadGolden(path, &golden))
+      << path << " missing or unreadable; regenerate with "
       << "QBE_UPDATE_GOLDEN=1";
-
-  // Compare both directions with per-key messages: a bare map EXPECT_EQ
-  // would drown the signal in one giant diff.
   for (const auto& [key, value] : golden) {
     auto it = counts.find(key);
     if (it == counts.end()) {
       ADD_FAILURE() << "instance " << key
                     << " missing from this run (golden has " << value << ")";
     } else {
-      EXPECT_EQ(it->second, value)
-          << "verification count drift on " << key;
+      EXPECT_EQ(it->second, value) << what << " drift on " << key;
     }
   }
   for (const auto& [key, value] : counts) {
     EXPECT_TRUE(golden.count(key))
-        << "new instance " << key << " (" << value
-        << " verifications) absent from golden; regenerate if intended";
+        << "new instance " << key << " (" << what << " " << value
+        << ") absent from golden; regenerate if intended";
   }
+}
+
+TEST(VerifyCountGoldenTest, CountsMatchGoldenSnapshot) {
+  GoldenMaps maps = CollectVerifyCounts();
+  ASSERT_FALSE(maps.verifications.empty());
+  ExpectMatchesGolden("verify_counts.json", "verification count",
+                      maps.verifications);
+  ExpectMatchesGolden("estimated_costs.json", "estimated cost",
+                      maps.estimated_cost);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/candidate_gen.h"
+#include "core/discovery.h"
 #include "core/verify_all.h"
+#include "datagen/cust_like.h"
+#include "datagen/et_gen.h"
 #include "datagen/retailer.h"
 #include "exec/executor.h"
 #include "test_util.h"
@@ -126,6 +129,52 @@ TEST_F(FilterVerifierTest, LazyAndExactEvaluateSameNumberOfFilters) {
   EXPECT_EQ(v1, v2);
   EXPECT_LE(c_lazy.verifications, 2 * c_exact.verifications + 4);
   EXPECT_LE(c_exact.verifications, 2 * c_lazy.verifications + 4);
+}
+
+// ROADMAP 1(b): planning polls the deadline. On a CUST-like ET with
+// thousands of candidates (the shape of the CUST workload's heavy tail), an
+// expired token stops the universe build at its first poll and FILTER
+// spends no verification.
+TEST(FilterVerifierDeadlineTest, ExpiredDeadlineStopsPlanningOnHeavyCustEt) {
+  CustConfig config;
+  config.scale = 0.2;
+  Database db = MakeCustLikeDatabase(config);
+  SchemaGraph graph(db);
+  Executor exec(db, graph);
+  EtSource::Options source_options;
+  source_options.min_matrix_rows = 8;
+  EtSource source(db, graph, exec, 3, source_options);
+  const ExampleTable et = source.SampleMany(EtParams{}, 60, 17)[4];
+  std::vector<CandidateQuery> candidates =
+      GenerateCandidates(db, graph, et, {});
+  ASSERT_GE(candidates.size(), 2000u);
+
+  DeadlineToken expired;
+  expired.SetTimeout(std::chrono::nanoseconds(0));
+  ASSERT_TRUE(expired.Expired());
+
+  FilterUniverse universe =
+      BuildFilterUniverse(graph, et, candidates, &expired);
+  EXPECT_TRUE(universe.stopped_early);
+  EXPECT_EQ(universe.num_filters(), 0);
+
+  VerifyContext ctx{db, graph, exec, et, candidates, 42};
+  ctx.deadline = &expired;
+  for (bool lazy : {true, false}) {
+    FilterVerifier filter(0.1, lazy);
+    VerificationCounters counters;
+    std::vector<bool> valid = filter.Verify(ctx, &counters);
+    EXPECT_TRUE(counters.aborted);
+    EXPECT_EQ(counters.verifications, 0);
+    EXPECT_EQ(valid.size(), candidates.size());
+  }
+
+  DiscoveryOptions options;
+  options.deadline = &expired;
+  DiscoveryResult result = DiscoverQueries(db, et, options);
+  EXPECT_TRUE(result.timed_out);
+  EXPECT_EQ(result.counters.verifications, 0);
+  EXPECT_TRUE(result.queries.empty());
 }
 
 }  // namespace

@@ -119,16 +119,23 @@ TEST_P(LemmaTest, FilterDependencyLemmasHoldSemantically) {
     };
     for (int f : ids) {
       bool ok = eval(f);
+      const int cls = u.class_of[f];
       if (ok) {
-        // Lemma 4: success implies success of all sub-filters.
-        for (int sub : u.subs_of[f]) {
-          EXPECT_TRUE(eval(sub)) << "Lemma 4 violated (seed " << seed << ")";
+        // Lemma 4: success implies success of all sub-filters, i.e. of
+        // every member of every sub-class (f's own class included).
+        for (int sub_class : u.sub_classes[cls]) {
+          for (int sub : u.class_members[sub_class]) {
+            EXPECT_TRUE(eval(sub))
+                << "Lemma 4 violated (seed " << seed << ")";
+          }
         }
       } else {
         // Lemma 3: failure implies failure of all super-filters.
-        for (int super : u.supers_of[f]) {
-          EXPECT_FALSE(eval(super))
-              << "Lemma 3 violated (seed " << seed << ")";
+        for (int super_class : u.super_classes[cls]) {
+          for (int super : u.class_members[super_class]) {
+            EXPECT_FALSE(eval(super))
+                << "Lemma 3 violated (seed " << seed << ")";
+          }
         }
         // Lemma 2: every candidate containing f is invalid.
         for (int q : u.queries_of_filter[f]) {
