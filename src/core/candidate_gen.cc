@@ -171,6 +171,7 @@ std::vector<CandidateQuery> EnumerateCandidateQueries(
 
   for (const JoinTree& tree :
        EnumerateSubtrees(graph, options.max_join_tree_size, &hosting)) {
+    if (options.deadline != nullptr && options.deadline->Expired()) break;
     // Minimality requires every leaf to host a mapped column; leaves
     // outside `hosting` can never be mapped, so skip such trees outright.
     bool leaves_ok = true;

@@ -8,6 +8,7 @@
 #include "core/example_table.h"
 #include "schema/schema_graph.h"
 #include "storage/database.h"
+#include "util/deadline.h"
 
 namespace qbe {
 
@@ -21,6 +22,10 @@ struct CandidateGenOptions {
   /// Safety valve against pathological example tables: candidate
   /// enumeration stops after this many candidates.
   size_t max_candidates = 200000;
+
+  /// When set, polled once per enumerated join tree; on expiry enumeration
+  /// stops and returns the candidates found so far.
+  const DeadlineToken* deadline = nullptr;
 };
 
 /// Candidate projection-column retrieval (§3.2 step 1, Eq. 3): for each ET
@@ -52,7 +57,9 @@ std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
 /// Candidate query enumeration (§3.2 step 2): all minimal candidate
 /// project-join queries over the schema graph whose projection mapping
 /// draws from `candidate_columns` and whose join tree has at most
-/// `options.max_join_tree_size` relations. No joins are executed.
+/// `options.max_join_tree_size` relations. No joins are executed. A caller
+/// passing `options.deadline` must treat the result as truncated once the
+/// deadline has expired.
 std::vector<CandidateQuery> EnumerateCandidateQueries(
     const Database& db, const SchemaGraph& graph, const ExampleTable& et,
     const std::vector<std::vector<ColumnRef>>& candidate_columns,

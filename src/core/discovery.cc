@@ -123,6 +123,7 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
   CandidateGenOptions gen_options;
   gen_options.max_join_tree_size = options.max_join_tree_size;
   gen_options.max_candidates = options.max_candidates;
+  gen_options.deadline = options.deadline;
   std::vector<std::vector<ColumnRef>> candidate_columns =
       options.min_row_support >= 0
           ? RetrieveCandidateColumnsRelaxed(view, et, options.min_row_support)
@@ -139,9 +140,9 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
     trace->Count(TraceCounter::kCandidatesGenerated,
                  static_cast<int64_t>(candidates.size()));
   }
-  if (candidates.empty()) return result;
-
+  // Checked before the empty case: enumeration stops early on expiry.
   if (DeadlineExpired(options)) return MarkTimedOut(result);
+  if (candidates.empty()) return result;
 
   // Resolve the ET's tokens against the version's dictionary once (base
   // dictionary plus overlay tokens); every predicate this request builds

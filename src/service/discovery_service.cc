@@ -1,6 +1,7 @@
 #include "service/discovery_service.h"
 
 #include <cstdio>
+#include <deque>
 #include <utility>
 
 #include "kernels/kernels.h"
@@ -38,14 +39,88 @@ std::vector<double> WorkBuckets() { return ExponentialBuckets(1.0, 4.0, 11); }
 /// Queue-depth buckets: 1 .. 1024 requests waiting.
 std::vector<double> DepthBuckets() { return ExponentialBuckets(1.0, 2.0, 11); }
 
+/// Latency-histogram bounds: options.latency_buckets or, by default,
+/// 100 µs .. ~100 s.
+std::vector<double> LatencyBounds(const ServiceOptions& options) {
+  return options.latency_buckets.empty() ? ExponentialBuckets(1e-4, 2.0, 21)
+                                         : options.latency_buckets;
+}
+
 }  // namespace
 
-std::vector<double> DiscoveryService::LatencyBounds() const {
-  // Default: 100 µs .. ~100 s; overridable per deployment.
-  return options_.latency_buckets.empty()
-             ? ExponentialBuckets(1e-4, 2.0, 21)
-             : options_.latency_buckets;
-}
+/// Handles of every metric the request path (Admit, Run) updates, with
+/// names (per-shard and per-phase ones included) and histogram bounds built
+/// once at construction. Each registers on first use, so dumps list the
+/// same metrics a by-name lookup at the update site would create.
+struct DiscoveryService::Instruments {
+  struct PerShard {
+    PerShard(MetricsRegistry& m, const std::string& suffix)
+        : probes(m, "shard_probes" + suffix),
+          hits(m, "shard_hits" + suffix),
+          skipped_empty(m, "shard_skipped_empty" + suffix) {}
+    CounterHandle probes;
+    CounterHandle hits;
+    CounterHandle skipped_empty;
+  };
+
+  Instruments(MetricsRegistry& m, const std::vector<double>& latency,
+              int num_shards)
+      : requests_received(m, "requests_received"),
+        requests_admitted(m, "requests_admitted"),
+        requests_rejected(m, "requests_rejected"),
+        requests_shutdown(m, "requests_shutdown"),
+        requests_timed_out(m, "requests_timed_out"),
+        requests_failed(m, "requests_failed"),
+        requests_completed(m, "requests_completed"),
+        requests_traced(m, "requests_traced"),
+        queries_discovered(m, "queries_discovered"),
+        match_cache_hits(m, "match_cache_hits"),
+        match_cache_lookups(m, "match_cache_lookups"),
+        slow_queries_logged(m, "slow_queries_logged"),
+        queue_depth_at_admission(m, "queue_depth_at_admission",
+                                 DepthBuckets()),
+        queue_seconds(m, "queue_seconds", latency),
+        latency_seconds(m, "latency_seconds", latency),
+        verifications_per_request(m, "verifications_per_request",
+                                  WorkBuckets()),
+        shard_busy_seconds(m, "shard_busy_seconds", latency) {
+    for (int s = 0; s < num_shards; ++s) {
+      shards.emplace_back(m, "_s" + std::to_string(s));
+    }
+    for (size_t k = 0; k < static_cast<size_t>(SpanKind::kNumKinds); ++k) {
+      phase_seconds.emplace_back(
+          m,
+          std::string("phase_seconds_") +
+              SpanKindName(static_cast<SpanKind>(k)),
+          latency);
+    }
+  }
+
+  CounterHandle requests_received;
+  CounterHandle requests_admitted;
+  CounterHandle requests_rejected;
+  CounterHandle requests_shutdown;
+  CounterHandle requests_timed_out;
+  CounterHandle requests_failed;
+  CounterHandle requests_completed;
+  CounterHandle requests_traced;
+  CounterHandle queries_discovered;
+  CounterHandle match_cache_hits;
+  CounterHandle match_cache_lookups;
+  CounterHandle slow_queries_logged;
+  HistogramHandle queue_depth_at_admission;
+  HistogramHandle queue_seconds;
+  HistogramHandle latency_seconds;
+  HistogramHandle verifications_per_request;
+  HistogramHandle shard_busy_seconds;
+  // Indexed by shard; only sharded runs update them. Deques because
+  // handles are immovable.
+  std::deque<PerShard> shards;
+  std::deque<HistogramHandle> phase_seconds;  // indexed by SpanKind
+  // The last sharded request's straggler ratio, published as a gauge at
+  // refresh; < 0 until one has run.
+  std::atomic<double> straggler_ratio{-1.0};
+};
 
 /// Everything a request carries through the pool: the input, its deadline
 /// token (armed at admission so queue time counts against the SLA), the
@@ -90,7 +165,10 @@ DiscoveryService::DiscoveryService(Database db, ServiceOptions options)
 DiscoveryService::DiscoveryService(std::vector<Database> shards,
                                    ServiceOptions options)
     : options_(std::move(options)),
-      cache_(options_.cache_shards),
+      instruments_(std::make_unique<Instruments>(
+          metrics_, LatencyBounds(options_), static_cast<int>(shards.size()))),
+      // Registered up front: 0 on a never-mutated service is an answer.
+      eval_cache_generations_(metrics_.GetCounter("eval_cache_generations")),
       pool_(std::make_unique<ThreadPool>(options_.num_workers,
                                          options_.max_queue_depth)) {
   for (Database& shard : shards) {
@@ -158,7 +236,8 @@ void DiscoveryService::Deliver(Request& request, ServiceResponse&& response) {
 void DiscoveryService::Admit(
     std::shared_ptr<Request> request,
     std::optional<std::chrono::milliseconds> timeout) {
-  metrics_.GetCounter("requests_received").Increment();
+  Instruments& m = *instruments_;
+  m.requests_received.Increment();
 
   auto finish_now = [&](RequestStatus status) {
     ServiceResponse response;
@@ -167,7 +246,7 @@ void DiscoveryService::Admit(
   };
 
   if (!accepting_.load(std::memory_order_acquire)) {
-    metrics_.GetCounter("requests_shutdown").Increment();
+    m.requests_shutdown.Increment();
     finish_now(RequestStatus::kShutdown);
     return;
   }
@@ -192,15 +271,15 @@ void DiscoveryService::Admit(
       pool_->TrySubmit([this, request] { Run(request); });
   if (!admitted) {
     // Queue full (or the pool began stopping underneath us): fast-fail.
-    metrics_.GetCounter("requests_rejected").Increment();
+    m.requests_rejected.Increment();
     finish_now(accepting_.load(std::memory_order_acquire)
                    ? RequestStatus::kRejected
                    : RequestStatus::kShutdown);
     return;
   }
-  metrics_.GetCounter("requests_admitted").Increment();
-  metrics_.GetHistogram("queue_depth_at_admission", DepthBuckets())
-      .Observe(static_cast<double>(pool_->QueueDepth()));
+  m.requests_admitted.Increment();
+  m.queue_depth_at_admission.Observe(
+      static_cast<double>(pool_->QueueDepth()));
 }
 
 ServiceResponse DiscoveryService::Discover(
@@ -209,8 +288,9 @@ ServiceResponse DiscoveryService::Discover(
 }
 
 void DiscoveryService::Run(const std::shared_ptr<Request>& request) {
+  Instruments& m = *instruments_;
   double queued = request->since_admission.ElapsedSeconds();
-  metrics_.GetHistogram("queue_seconds", LatencyBounds()).Observe(queued);
+  m.queue_seconds.Observe(queued);
   if (options_.on_request_start) options_.on_request_start();
 
   DiscoveryOptions options = options_.discovery;
@@ -268,56 +348,49 @@ void DiscoveryService::Run(const std::shared_ptr<Request>& request) {
   response.latency_seconds = request->since_admission.ElapsedSeconds();
   if (result.timed_out) {
     response.status = RequestStatus::kTimedOut;
-    metrics_.GetCounter("requests_timed_out").Increment();
+    m.requests_timed_out.Increment();
   } else if (!result.ok()) {
     response.status = RequestStatus::kFailed;
-    metrics_.GetCounter("requests_failed").Increment();
+    m.requests_failed.Increment();
   } else {
     response.status = RequestStatus::kOk;
-    metrics_.GetCounter("requests_completed").Increment();
-    metrics_.GetCounter("queries_discovered")
-        .Increment(static_cast<int64_t>(result.queries.size()));
-    metrics_.GetHistogram("verifications_per_request", WorkBuckets())
-        .Observe(static_cast<double>(result.counters.verifications));
-    metrics_.GetCounter("match_cache_hits")
-        .Increment(result.counters.match_cache_hits);
-    metrics_.GetCounter("match_cache_lookups")
-        .Increment(result.counters.match_cache_lookups);
+    m.requests_completed.Increment();
+    m.queries_discovered.Increment(
+        static_cast<int64_t>(result.queries.size()));
+    m.verifications_per_request.Observe(
+        static_cast<double>(result.counters.verifications));
+    m.match_cache_hits.Increment(result.counters.match_cache_hits);
+    m.match_cache_lookups.Increment(result.counters.match_cache_lookups);
   }
   // Per-shard scatter-gather traffic and balance (sharded mode only;
   // observation-only, like everything else here).
   for (size_t s = 0; s < shard_stats.per_shard.size(); ++s) {
     const auto& shard = shard_stats.per_shard[s];
-    const std::string suffix = "_s" + std::to_string(s);
-    metrics_.GetCounter("shard_probes" + suffix).Increment(shard.probes);
-    metrics_.GetCounter("shard_hits" + suffix).Increment(shard.hits);
-    metrics_.GetCounter("shard_skipped_empty" + suffix)
-        .Increment(shard.skipped_empty);
-    metrics_.GetHistogram("shard_busy_seconds", LatencyBounds())
-        .Observe(shard.busy_seconds);
+    Instruments::PerShard& counters = m.shards[s];
+    counters.probes.Increment(shard.probes);
+    counters.hits.Increment(shard.hits);
+    counters.skipped_empty.Increment(shard.skipped_empty);
+    m.shard_busy_seconds.Observe(shard.busy_seconds);
   }
   if (num_shards() > 1) {
-    metrics_.SetGauge("shard_straggler_ratio", shard_stats.straggler_ratio);
+    m.straggler_ratio.store(shard_stats.straggler_ratio,
+                            std::memory_order_relaxed);
   }
-  metrics_.GetHistogram("latency_seconds", LatencyBounds())
-      .Observe(response.latency_seconds);
+  m.latency_seconds.Observe(response.latency_seconds);
 
   bool traced = false;
   Trace stitched;
   if (trace != nullptr) {
     stitched = trace->Stitch();
     traced = true;
-    metrics_.GetCounter("requests_traced").Increment();
+    m.requests_traced.Increment();
     // Per-phase rollups: one latency histogram per span kind observed, so
     // the exporter shows where sampled requests spend their time.
     for (size_t k = 0; k < static_cast<size_t>(SpanKind::kNumKinds); ++k) {
       const SpanKind kind = static_cast<SpanKind>(k);
       const int64_t ns = stitched.PhaseNs(kind);
       if (ns <= 0) continue;
-      metrics_
-          .GetHistogram(std::string("phase_seconds_") + SpanKindName(kind),
-                        LatencyBounds())
-          .Observe(static_cast<double>(ns) * 1e-9);
+      m.phase_seconds[k].Observe(static_cast<double>(ns) * 1e-9);
     }
     std::lock_guard<std::mutex> lock(traces_mu_);
     recent_traces_.push_back(stitched);
@@ -355,7 +428,7 @@ void DiscoveryService::Run(const std::shared_ptr<Request>& request) {
     } else {
       std::fprintf(stderr, "%s\n", line.c_str());
     }
-    metrics_.GetCounter("slow_queries_logged").Increment();
+    m.slow_queries_logged.Increment();
   }
 
   response.result = std::move(result);
@@ -379,6 +452,7 @@ bool DiscoveryService::Append(int rel, std::vector<Value> values,
       return false;
     }
     metrics_.GetCounter("rows_appended").Increment();
+    RotateCache();
     return true;
   }
 
@@ -401,6 +475,7 @@ bool DiscoveryService::Append(int rel, std::vector<Value> values,
     return false;
   }
   metrics_.GetCounter("rows_appended").Increment();
+  RotateCache();
   return true;
 }
 
@@ -414,6 +489,7 @@ bool DiscoveryService::AppendBatch(int rel,
       return false;
     }
     metrics_.GetCounter("rows_appended").Increment(n);
+    RotateCache();
     return true;
   }
 
@@ -458,6 +534,7 @@ bool DiscoveryService::TombstoneAt(int shard, int rel, uint32_t row,
     return false;
   }
   metrics_.GetCounter("rows_tombstoned").Increment();
+  RotateCache();
   return true;
 }
 
@@ -489,8 +566,14 @@ void DiscoveryService::RecordCompaction(const CompactionStats& stats) {
       .Increment(static_cast<int64_t>(stats.merged_appends));
   metrics_.GetCounter("compacted_tombstones")
       .Increment(static_cast<int64_t>(stats.merged_tombstones));
-  metrics_.GetHistogram("compaction_seconds", LatencyBounds())
+  metrics_.GetHistogram("compaction_seconds", LatencyBounds(options_))
       .Observe(stats.seconds);
+  RotateCache();
+}
+
+void DiscoveryService::RotateCache() {
+  cache_.StartGeneration();
+  eval_cache_generations_.Increment();
 }
 
 void DiscoveryService::Shutdown() {
@@ -503,6 +586,7 @@ void DiscoveryService::Shutdown() {
 
 void DiscoveryService::RefreshGauges() {
   metrics_.SetGauge("eval_cache_size", static_cast<double>(cache_.size()));
+  metrics_.SetGauge("eval_cache_bytes", static_cast<double>(cache_.bytes()));
   metrics_.SetGauge("eval_cache_hit_rate", cache_.HitRate());
   metrics_.SetGauge("eval_cache_lookups",
                     static_cast<double>(cache_.lookups()));
@@ -523,6 +607,11 @@ void DiscoveryService::RefreshGauges() {
   metrics_.SetGauge("delta_tombstones", tombstones);
   metrics_.SetGauge("wal_attached", all_wals ? 1.0 : 0.0);
   metrics_.SetGauge("num_shards", static_cast<double>(num_shards()));
+  const double straggler_ratio =
+      instruments_->straggler_ratio.load(std::memory_order_relaxed);
+  if (straggler_ratio >= 0.0) {
+    metrics_.SetGauge("shard_straggler_ratio", straggler_ratio);
+  }
   // 0 = scalar, 1 = sse, 2 = avx2 (KernelLevel enum values) — which SIMD
   // dispatch level the verification hot path runs under.
   metrics_.SetGauge("kernel_level",

@@ -56,8 +56,6 @@ struct ServiceOptions {
   /// Per-request deadline applied from admission time; zero = none.
   /// Overridable per request in Submit.
   std::chrono::milliseconds default_timeout{0};
-  /// Shards of the shared verification-outcome cache.
-  size_t cache_shards = 16;
   /// Base discovery options for every request; `cache`, `deadline` and
   /// `trace` are overwritten by the service.
   DiscoveryOptions discovery;
@@ -184,7 +182,10 @@ class DiscoveryService {
   //
   // Appends/tombstones publish a new epoch immediately; requests already
   // running keep their pinned epoch (consistent snapshots), requests
-  // admitted afterwards see the new data. All mutators are thread-safe.
+  // admitted afterwards see the new data. Every publish (compactions
+  // included) also rotates the eval cache's generations, so outcomes keyed
+  // by superseded epochs are freed within two publishes. All mutators are
+  // thread-safe.
 
   /// Admits one appended row. On rejection (bad arity/type, duplicate PK)
   /// nothing changes and `*error` explains why.
@@ -224,8 +225,8 @@ class DiscoveryService {
   ConcurrentEvalCache& cache() { return cache_; }
   MetricsRegistry& metrics() { return metrics_; }
 
-  /// Metrics dump with cache gauges (size, hit rate) refreshed; the text
-  /// the qbe_serve harness prints.
+  /// Metrics dump with cache gauges (size, bytes, hit rate) refreshed; the
+  /// text the qbe_serve harness prints.
   std::string MetricsDump();
 
   /// Prometheus text exposition of the same metrics (gauges refreshed);
@@ -241,6 +242,7 @@ class DiscoveryService {
 
  private:
   struct Request;
+  struct Instruments;
 
   /// Shared admission path of Submit/SubmitAsync: deadline arming, trace
   /// sampling, bounded-queue admission, fast-fail delivery.
@@ -251,9 +253,10 @@ class DiscoveryService {
   static void Deliver(Request& request, ServiceResponse&& response);
   void Run(const std::shared_ptr<Request>& request);
   void RecordCompaction(const CompactionStats& stats);
+  /// Runs after every epoch publish this service causes: drops the eval
+  /// cache's previous generation and demotes the current one.
+  void RotateCache();
   void RefreshGauges();
-  /// Latency-histogram bounds: options_.latency_buckets or the default.
-  std::vector<double> LatencyBounds() const;
 
   // One LiveDatabase per shard (unsharded = one entry); unique_ptr keeps
   // addresses stable across vector growth during construction.
@@ -266,6 +269,10 @@ class DiscoveryService {
   std::mutex route_mu_;
   ConcurrentEvalCache cache_;
   MetricsRegistry metrics_;
+  // The request path's metrics, resolved once instead of by name on each
+  // update (declared after the registry they point into).
+  std::unique_ptr<Instruments> instruments_;
+  Counter& eval_cache_generations_;
   std::atomic<bool> accepting_{true};
   TraceSampler sampler_;
   std::atomic<uint64_t> request_seq_{0};

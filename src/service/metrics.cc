@@ -89,6 +89,25 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
   return *slot;
 }
 
+Counter& CounterHandle::Get() {
+  Counter* counter = counter_.load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    // Racing first uses resolve to the same registry entry.
+    counter = &registry_.GetCounter(name_);
+    counter_.store(counter, std::memory_order_release);
+  }
+  return *counter;
+}
+
+Histogram& HistogramHandle::Get() {
+  Histogram* histogram = histogram_.load(std::memory_order_acquire);
+  if (histogram == nullptr) {
+    histogram = &registry_.GetHistogram(name_, bounds_);
+    histogram_.store(histogram, std::memory_order_release);
+  }
+  return *histogram;
+}
+
 void MetricsRegistry::SetGauge(const std::string& name, double value) {
   std::lock_guard<std::mutex> lock(mu_);
   gauges_[name] = value;

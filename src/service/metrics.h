@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace qbe {
@@ -111,6 +112,45 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, double> gauges_;
+};
+
+/// A named counter a hot path updates many times: the name is fixed up
+/// front and looked up in the registry once, on first use; every later
+/// update is lock-free. Registering on first use rather than at
+/// construction keeps a metric out of dumps until something happens to it,
+/// exactly as a direct GetCounter call at that point would.
+class CounterHandle {
+ public:
+  CounterHandle(MetricsRegistry& registry, std::string name)
+      : registry_(registry), name_(std::move(name)) {}
+
+  void Increment(int64_t delta = 1) { Get().Increment(delta); }
+  Counter& Get();
+
+ private:
+  MetricsRegistry& registry_;
+  const std::string name_;
+  std::atomic<Counter*> counter_{nullptr};
+};
+
+/// CounterHandle's histogram twin; the bucket bounds are built once, with
+/// the handle.
+class HistogramHandle {
+ public:
+  HistogramHandle(MetricsRegistry& registry, std::string name,
+                  std::vector<double> upper_bounds)
+      : registry_(registry),
+        name_(std::move(name)),
+        bounds_(std::move(upper_bounds)) {}
+
+  void Observe(double value) { Get().Observe(value); }
+  Histogram& Get();
+
+ private:
+  MetricsRegistry& registry_;
+  const std::string name_;
+  const std::vector<double> bounds_;
+  std::atomic<Histogram*> histogram_{nullptr};
 };
 
 }  // namespace qbe

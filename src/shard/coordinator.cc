@@ -190,6 +190,7 @@ DiscoveryResult DiscoverQueriesSharded(const std::vector<DbView>& views,
   CandidateGenOptions gen_options;
   gen_options.max_join_tree_size = options.max_join_tree_size;
   gen_options.max_candidates = options.max_candidates;
+  gen_options.deadline = options.deadline;
   std::vector<std::vector<ColumnRef>> candidate_columns =
       options.min_row_support >= 0
           ? RetrieveCandidateColumnsShardedRelaxed(views, et,
@@ -207,9 +208,9 @@ DiscoveryResult DiscoverQueriesSharded(const std::vector<DbView>& views,
     trace->Count(TraceCounter::kCandidatesGenerated,
                  static_cast<int64_t>(candidates.size()));
   }
-  if (candidates.empty()) return result;
-
+  // Checked before the empty case: enumeration stops early on expiry.
   if (DeadlineExpired(options)) return MarkTimedOut(result);
+  if (candidates.empty()) return result;
 
   // Tokens are resolved per shard against each shard's own dictionary (a
   // global id space does not exist); verification predicates therefore stay

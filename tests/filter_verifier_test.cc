@@ -9,6 +9,8 @@
 #include "datagen/et_gen.h"
 #include "datagen/retailer.h"
 #include "exec/executor.h"
+#include "ingest/db_view.h"
+#include "shard/coordinator.h"
 #include "test_util.h"
 
 namespace qbe {
@@ -135,31 +137,45 @@ TEST_F(FilterVerifierTest, LazyAndExactEvaluateSameNumberOfFilters) {
 // thousands of candidates (the shape of the CUST workload's heavy tail), an
 // expired token stops the universe build at its first poll and FILTER
 // spends no verification.
-TEST(FilterVerifierDeadlineTest, ExpiredDeadlineStopsPlanningOnHeavyCustEt) {
-  CustConfig config;
-  config.scale = 0.2;
-  Database db = MakeCustLikeDatabase(config);
-  SchemaGraph graph(db);
-  Executor exec(db, graph);
-  EtSource::Options source_options;
-  source_options.min_matrix_rows = 8;
-  EtSource source(db, graph, exec, 3, source_options);
-  const ExampleTable et = source.SampleMany(EtParams{}, 60, 17)[4];
-  std::vector<CandidateQuery> candidates =
-      GenerateCandidates(db, graph, et, {});
-  ASSERT_GE(candidates.size(), 2000u);
+/// A heavy CUST-like ET (thousands of candidates) and an already-expired
+/// deadline token.
+class FilterVerifierDeadlineTest : public ::testing::Test {
+ protected:
+  FilterVerifierDeadlineTest()
+      : db_(MakeCustLikeDatabase(Config())), graph_(db_), exec_(db_, graph_) {
+    EtSource::Options source_options;
+    source_options.min_matrix_rows = 8;
+    EtSource source(db_, graph_, exec_, 3, source_options);
+    et_ = source.SampleMany(EtParams{}, 60, 17)[4];
+    expired_.SetTimeout(std::chrono::nanoseconds(0));
+  }
 
-  DeadlineToken expired;
-  expired.SetTimeout(std::chrono::nanoseconds(0));
-  ASSERT_TRUE(expired.Expired());
+  static CustConfig Config() {
+    CustConfig config;
+    config.scale = 0.2;
+    return config;
+  }
+
+  Database db_;
+  SchemaGraph graph_;
+  Executor exec_;
+  ExampleTable et_ = ExampleTable::WithColumns(1);
+  DeadlineToken expired_;
+};
+
+TEST_F(FilterVerifierDeadlineTest, ExpiredDeadlineStopsPlanningOnHeavyCustEt) {
+  std::vector<CandidateQuery> candidates =
+      GenerateCandidates(db_, graph_, et_, {});
+  ASSERT_GE(candidates.size(), 2000u);
+  ASSERT_TRUE(expired_.Expired());
 
   FilterUniverse universe =
-      BuildFilterUniverse(graph, et, candidates, &expired);
+      BuildFilterUniverse(graph_, et_, candidates, &expired_);
   EXPECT_TRUE(universe.stopped_early);
   EXPECT_EQ(universe.num_filters(), 0);
 
-  VerifyContext ctx{db, graph, exec, et, candidates, 42};
-  ctx.deadline = &expired;
+  VerifyContext ctx{db_, graph_, exec_, et_, candidates, 42};
+  ctx.deadline = &expired_;
   for (bool lazy : {true, false}) {
     FilterVerifier filter(0.1, lazy);
     VerificationCounters counters;
@@ -170,11 +186,35 @@ TEST(FilterVerifierDeadlineTest, ExpiredDeadlineStopsPlanningOnHeavyCustEt) {
   }
 
   DiscoveryOptions options;
-  options.deadline = &expired;
-  DiscoveryResult result = DiscoverQueries(db, et, options);
+  options.deadline = &expired_;
+  DiscoveryResult result = DiscoverQueries(db_, et_, options);
   EXPECT_TRUE(result.timed_out);
   EXPECT_EQ(result.counters.verifications, 0);
   EXPECT_TRUE(result.queries.empty());
+}
+
+TEST_F(FilterVerifierDeadlineTest, ExpiredDeadlineStopsCandidateEnumeration) {
+  const std::vector<std::vector<ColumnRef>> columns =
+      RetrieveCandidateColumns(db_, et_);
+  CandidateGenOptions gen_options;
+  EXPECT_GE(
+      EnumerateCandidateQueries(db_, graph_, et_, columns, gen_options).size(),
+      2000u);
+  gen_options.deadline = &expired_;
+  EXPECT_TRUE(
+      EnumerateCandidateQueries(db_, graph_, et_, columns, gen_options)
+          .empty());
+
+  DiscoveryOptions options;
+  options.deadline = &expired_;
+  for (bool sharded : {false, true}) {
+    DiscoveryResult result =
+        sharded ? DiscoverQueriesSharded({DbView(db_)}, et_, options)
+                : DiscoverQueries(db_, et_, options);
+    EXPECT_TRUE(result.timed_out) << "sharded=" << sharded;
+    EXPECT_EQ(result.counters.verifications, 0);
+    EXPECT_TRUE(result.queries.empty());
+  }
 }
 
 }  // namespace

@@ -151,6 +151,20 @@ TEST(ServiceStressTest, EightThreadsMatchSingleThreadedOnRetailer) {
   std::string dump = service.MetricsDump();
   EXPECT_NE(dump.find("eval_cache_hit_rate"), std::string::npos);
   EXPECT_NE(dump.find("latency_seconds"), std::string::npos);
+  EXPECT_GT(service.cache().bytes(), 0u);
+  EXPECT_NE(dump.find("gauge     eval_cache_bytes "), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("counter   eval_cache_generations 0\n"),
+            std::string::npos)
+      << dump;
+
+  // A publish rotates the cache once.
+  std::string error;
+  ASSERT_TRUE(service.Append(service.db().RelationIdByName("Customer"),
+                             {int64_t{9}, std::string("Zed Quinn")}, &error))
+      << error;
+  EXPECT_NE(service.MetricsDump().find("counter   eval_cache_generations 1\n"),
+            std::string::npos);
 }
 
 TEST(ServiceStressTest, EightThreadsMatchSingleThreadedOnImdb) {
