@@ -15,7 +15,8 @@ namespace qbe {
 /// Background compaction driver: polls the live database's op-log depth and
 /// folds the overlay into a fresh base (+ optional snapshot refresh) once it
 /// crosses the threshold. One thread; Stop() joins it. Readers are never
-/// blocked by a running compaction — it publishes a new epoch when done.
+/// blocked by a running compaction, and writers only at its short pin and
+/// install steps — it publishes a new epoch when done.
 class Compactor {
  public:
   struct Options {

@@ -8,6 +8,7 @@
 
 #include "obs/trace.h"
 #include "snapshot/snapshot.h"
+#include "util/check.h"
 #include "util/stopwatch.h"
 
 namespace qbe {
@@ -361,8 +362,25 @@ Database MaterializeDatabase(const DbView& view,
 
 bool LiveDatabase::Compact(const std::string& snapshot_path,
                            std::string* error, CompactionStats* stats) {
+  std::lock_guard<std::mutex> fold_lock(compact_mu_);
+  Stopwatch timer;
+  Fold fold;
+  if (!BeginFold(snapshot_path, &fold, error)) return false;
+  if (fold.folded_ops == 0) return true;  // nothing to fold
+  ScopedSpan compact_span(fold.trace, SpanKind::kCompaction);
+  MergedBase merged;
+  if (!MergeFold(fold, snapshot_path, &merged, error)) return false;
+  if (!InstallFold(fold, std::move(merged), snapshot_path, stats, error)) {
+    return false;
+  }
+  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
+  return true;
+}
+
+bool LiveDatabase::BeginFold(const std::string& snapshot_path, Fold* fold,
+                             std::string* error) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  if (ops_.empty()) return true;  // nothing to fold
+  if (ops_.empty()) return true;
   if (wal_.is_open() && snapshot_path.empty()) {
     if (error != nullptr) {
       *error =
@@ -371,49 +389,79 @@ bool LiveDatabase::Compact(const std::string& snapshot_path,
     }
     return false;
   }
-  ScopedSpan compact_span(trace_, SpanKind::kCompaction);
-  Stopwatch timer;
-  const size_t merged_ops = ops_.size();
-  size_t merged_appends = 0;
-  for (const WalRecord& op : ops_) {
-    if (op.kind == WalRecord::kAppend) ++merged_appends;
-  }
+  fold->pinned = current_;
+  fold->folded_ops = ops_.size();
+  fold->merged_appends = static_cast<size_t>(
+      std::count_if(ops_.begin(), ops_.end(), [](const WalRecord& op) {
+        return op.kind == WalRecord::kAppend;
+      }));
+  fold->trace = trace_;
+  return true;
+}
 
-  Database merged = MaterializeDatabase(current_.view());
-  bool snapshot_written = false;
-  if (!snapshot_path.empty()) {
-    // Temp + rename: a reader still mapping the previous snapshot keeps its
-    // (now unlinked) inode; the path atomically points at the new epoch.
-    const std::string tmp = snapshot_path + ".compact.tmp";
-    if (!WriteSnapshot(merged, tmp, error)) return false;
+bool LiveDatabase::MergeFold(const Fold& fold,
+                             const std::string& snapshot_path,
+                             MergedBase* merged, std::string* error) const {
+  merged->base = MaterializeDatabase(fold.pinned.view(), &merged->old_to_new);
+  if (snapshot_path.empty()) return true;
+  const std::string tmp = snapshot_path + ".compact.tmp";
+  if (!WriteSnapshot(merged->base, tmp, error)) return false;
+  merged->snapshot_tmp = tmp;
+  return true;
+}
+
+bool LiveDatabase::InstallFold(const Fold& fold, MergedBase merged,
+                               const std::string& snapshot_path,
+                               CompactionStats* stats, std::string* error) {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  if (!merged.snapshot_tmp.empty()) {
+    // Renamed here, right before the WAL rewrite, so the two never have an
+    // append between them. A reader still mapping the previous snapshot
+    // keeps its (now unlinked) inode.
     std::error_code ec;
-    std::filesystem::rename(tmp, snapshot_path, ec);
+    std::filesystem::rename(merged.snapshot_tmp, snapshot_path, ec);
     if (ec) {
       if (error != nullptr) {
-        *error = "cannot rename " + tmp + " over " + snapshot_path + ": " +
-                 ec.message();
+        *error = "cannot rename " + merged.snapshot_tmp + " over " +
+                 snapshot_path + ": " + ec.message();
       }
       return false;
     }
-    snapshot_written = true;
   }
-  if (wal_.is_open() && !wal_.Truncate({}, error)) return false;
+
+  // Rebase the tail: ops committed after the pin name rows of the folded
+  // epoch's id space. A row that existed at the fold moves to its new id;
+  // a row appended since keeps its offset past the folded rows.
+  std::vector<WalRecord> tail(ops_.begin() + fold.folded_ops, ops_.end());
+  for (WalRecord& op : tail) {
+    if (op.kind != WalRecord::kTombstone) continue;
+    const std::vector<uint32_t>& map = merged.old_to_new[op.rel];
+    if (op.row < map.size()) {
+      op.row = map[op.row];
+      // Admission refuses to tombstone a dead row, and every row dead at
+      // the fold is still dead.
+      QBE_CHECK(op.row != UINT32_MAX);
+    } else {
+      op.row = op.row - static_cast<uint32_t>(map.size()) +
+               merged.base.relation(static_cast<int>(op.rel)).num_rows();
+    }
+  }
+  if (wal_.is_open() && !wal_.Truncate(tail, error)) return false;
 
   DbVersion next;
   next.epoch = current_.epoch + 1;
-  next.base = std::make_shared<const Database>(std::move(merged));
-  next.delta = nullptr;
+  next.base = std::make_shared<const Database>(std::move(merged.base));
+  if (!tail.empty()) next.delta = BuildDeltaView(*next.base, tail, next.epoch);
   const uint64_t published_epoch = next.epoch;
   Publish(std::move(next));
-  ops_.clear();
+  ops_ = std::move(tail);
 
   if (stats != nullptr) {
     stats->epoch = published_epoch;
-    stats->merged_appends = merged_appends;
-    stats->merged_tombstones = merged_ops - merged_appends;
-    stats->remaining_ops = 0;
-    stats->seconds = timer.ElapsedSeconds();
-    stats->snapshot_written = snapshot_written;
+    stats->merged_appends = fold.merged_appends;
+    stats->merged_tombstones = fold.folded_ops - fold.merged_appends;
+    stats->remaining_ops = ops_.size();
+    stats->snapshot_written = !merged.snapshot_tmp.empty();
   }
   return true;
 }

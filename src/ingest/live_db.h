@@ -33,8 +33,8 @@ struct CompactionStats {
   uint64_t epoch = 0;          // epoch published by the compaction
   size_t merged_appends = 0;   // ops folded into the new base
   size_t merged_tombstones = 0;
-  size_t remaining_ops = 0;    // log ops left after the merge (always 0:
-                               // the merge runs under the writer lock)
+  size_t remaining_ops = 0;    // ops committed during the merge: the
+                               // rebased tail left in the log
   double seconds = 0.0;
   bool snapshot_written = false;
 };
@@ -45,11 +45,13 @@ struct CompactionStats {
 /// Readers call Pin() and never block writers; writers are serialized.
 ///
 /// Concurrency: `writer_mu_` serializes all mutation (Append/Tombstone/
-/// AttachWal/Compact); `version_mu_` guards only the pointer swap + Pin
-/// copy, so the read path's critical section is two shared_ptr copies.
-/// Compaction holds `writer_mu_` for its whole merge — appends queue behind
-/// it — but readers are never blocked: the pinned version stays valid and
-/// only the final publish takes `version_mu_`.
+/// AttachWal and compaction's two short ends); `version_mu_` guards only
+/// the pointer swap + Pin copy, so the read path's critical section is two
+/// shared_ptr copies. `compact_mu_` serializes whole folds. A fold holds
+/// `writer_mu_` only to pin the epoch it folds and, after the merge, to
+/// rebase the ops committed meanwhile onto the new base and install it;
+/// the merge and the snapshot write run with no lock, so appends commit
+/// during them. Readers are never blocked.
 class LiveDatabase {
  public:
   /// Takes ownership of a built (or snapshot-opened) database as epoch 0.
@@ -93,14 +95,19 @@ class LiveDatabase {
 
   bool has_wal() const;
 
-  /// Folds the current overlay into a fresh base Database (fresh CSR text
-  /// indexes, token dictionary and join indexes), publishes it as the next
-  /// epoch with an empty overlay, and truncates the WAL. With a non-empty
-  /// `snapshot_path` the new base is also written as a `.qbes` snapshot
-  /// (temp file + rename, so a mapped predecessor stays valid) — compaction
-  /// doubles as snapshot refresh. When a WAL is attached a snapshot path is
-  /// REQUIRED: truncating the log is only crash-safe if the merged state is
-  /// durable somewhere. A no-op (returning true) on an empty overlay.
+  /// Folds the overlay current at the call into a fresh base Database
+  /// (fresh CSR text indexes, token dictionary and join indexes) in three
+  /// steps (DESIGN.md §12): pin the epoch and the op count it covers under
+  /// the writer lock; merge, and write the snapshot, with no lock held;
+  /// then, under the writer lock again, rebase the ops committed during the
+  /// merge onto the new base, rewrite the WAL to hold just that tail, and
+  /// publish the new base plus the tail's overlay as the next epoch. With a
+  /// non-empty `snapshot_path` the new base is also written as a `.qbes`
+  /// snapshot (temp file + rename, so a mapped predecessor stays valid) —
+  /// compaction doubles as snapshot refresh. When a WAL is attached a
+  /// snapshot path is REQUIRED: truncating the log is only crash-safe if
+  /// the merged state is durable somewhere. A no-op (returning true) on an
+  /// empty overlay. Concurrent calls run one after another.
   bool Compact(const std::string& snapshot_path, std::string* error,
                CompactionStats* stats = nullptr);
 
@@ -111,6 +118,43 @@ class LiveDatabase {
   void set_trace(TraceContext* trace);
 
  private:
+  friend class CompactionFoldTest;
+
+  /// A fold in progress: the epoch it merges and how much of the op log
+  /// that epoch covers. Ops past `folded_ops` form the tail.
+  struct Fold {
+    DbVersion pinned;
+    size_t folded_ops = 0;
+    size_t merged_appends = 0;
+    TraceContext* trace = nullptr;
+  };
+
+  /// A fold's merged base, built with no lock held.
+  struct MergedBase {
+    Database base;
+    /// Per relation, global row id at the fold → row id in `base`.
+    std::vector<std::vector<uint32_t>> old_to_new;
+    std::string snapshot_tmp;  // "" = no snapshot written
+  };
+
+  /// Fold step 1, under writer_mu_: pins the epoch to fold. False (with
+  /// `*error`) on a missing snapshot path; `fold->folded_ops == 0` means
+  /// there is nothing to fold.
+  bool BeginFold(const std::string& snapshot_path, Fold* fold,
+                 std::string* error);
+
+  /// Fold step 2, no lock held: materializes the pinned epoch and writes
+  /// it to a temp snapshot next to `snapshot_path` (when non-empty).
+  bool MergeFold(const Fold& fold, const std::string& snapshot_path,
+                 MergedBase* merged, std::string* error) const;
+
+  /// Fold step 3, under writer_mu_: renames the snapshot into place,
+  /// rebases the tail onto the merged base, rewrites the WAL to hold the
+  /// rebased tail and publishes the new epoch.
+  bool InstallFold(const Fold& fold, MergedBase merged,
+                   const std::string& snapshot_path, CompactionStats* stats,
+                   std::string* error);
+
   bool ValidateAppend(const DbView& view, int rel,
                       const std::vector<Value>& values,
                       const std::vector<WalRecord>& pending,
@@ -122,6 +166,7 @@ class LiveDatabase {
 
   void Publish(DbVersion next);
 
+  std::mutex compact_mu_;          // serializes folds (held outermost)
   mutable std::mutex writer_mu_;  // serializes all mutation
   mutable std::mutex version_mu_;  // guards current_ swap + Pin
   DbVersion current_;
@@ -136,8 +181,9 @@ class LiveDatabase {
 /// Database (same catalog, live rows only, indexes rebuilt). When
 /// `old_to_new` is non-null it receives, per relation, the global-row-id →
 /// new-row-id map (UINT32_MAX for dead rows) — compaction uses it to
-/// re-express tail tombstones. Exposed for the differential tests, which
-/// compare overlay reads against exactly this cold load.
+/// rebase tombstones committed during the merge. Exposed for the
+/// differential tests, which compare overlay reads against exactly this
+/// cold load.
 Database MaterializeDatabase(
     const DbView& view, std::vector<std::vector<uint32_t>>* old_to_new = nullptr);
 

@@ -297,16 +297,23 @@ bool WalWriter::Truncate(const std::vector<WalRecord>& records,
                          std::string* error) {
   const std::string tmp = path_ + ".tmp";
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
+    FILE* out = std::fopen(tmp.c_str(), "wb");
+    if (out == nullptr) {
       if (error != nullptr) *error = "cannot open " + tmp;
       return false;
     }
     std::string bytes = EncodeWalHeader();
     for (const WalRecord& record : records) EncodeWalRecord(record, &bytes);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      if (error != nullptr) *error = "short write to " + tmp;
+    // The kept records were acknowledged as durable in the old log, so the
+    // new one is synced before it replaces it.
+    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), out) == bytes.size()
+              && std::fflush(out) == 0;
+#ifndef _WIN32
+    ok = ok && fsync(fileno(out)) == 0;
+#endif
+    ok = std::fclose(out) == 0 && ok;
+    if (!ok) {
+      if (error != nullptr) *error = "cannot write and sync " + tmp;
       return false;
     }
   }

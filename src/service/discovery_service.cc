@@ -46,12 +46,26 @@ std::vector<double> LatencyBounds(const ServiceOptions& options) {
                                          : options.latency_buckets;
 }
 
+/// Observes the wall time of the enclosing scope in a histogram.
+class ScopedObserve {
+ public:
+  explicit ScopedObserve(HistogramHandle& histogram) : histogram_(histogram) {}
+  ~ScopedObserve() { histogram_.Observe(timer_.ElapsedSeconds()); }
+  ScopedObserve(const ScopedObserve&) = delete;
+  ScopedObserve& operator=(const ScopedObserve&) = delete;
+
+ private:
+  HistogramHandle& histogram_;
+  Stopwatch timer_;
+};
+
 }  // namespace
 
-/// Handles of every metric the request path (Admit, Run) updates, with
-/// names (per-shard and per-phase ones included) and histogram bounds built
-/// once at construction. Each registers on first use, so dumps list the
-/// same metrics a by-name lookup at the update site would create.
+/// Handles of every metric the request path (Admit, Run) and the mutation
+/// path (appends, tombstones, compactions) update, with names (per-shard
+/// and per-phase ones included) and histogram bounds built once at
+/// construction. Each registers on first use, so dumps list the same
+/// metrics a by-name lookup at the update site would create.
 struct DiscoveryService::Instruments {
   struct PerShard {
     PerShard(MetricsRegistry& m, const std::string& suffix)
@@ -83,7 +97,19 @@ struct DiscoveryService::Instruments {
         latency_seconds(m, "latency_seconds", latency),
         verifications_per_request(m, "verifications_per_request",
                                   WorkBuckets()),
-        shard_busy_seconds(m, "shard_busy_seconds", latency) {
+        shard_busy_seconds(m, "shard_busy_seconds", latency),
+        wal_attach_failed(m, "wal_attach_failed"),
+        rows_appended(m, "rows_appended"),
+        appends_rejected(m, "appends_rejected"),
+        rows_tombstoned(m, "rows_tombstoned"),
+        tombstones_rejected(m, "tombstones_rejected"),
+        compactions(m, "compactions"),
+        compactions_failed(m, "compactions_failed"),
+        compacted_appends(m, "compacted_appends"),
+        compacted_tombstones(m, "compacted_tombstones"),
+        compaction_tail_ops(m, "compaction_tail_ops"),
+        append_seconds(m, "append_seconds", latency),
+        compaction_seconds(m, "compaction_seconds", latency) {
     for (int s = 0; s < num_shards; ++s) {
       shards.emplace_back(m, "_s" + std::to_string(s));
     }
@@ -113,6 +139,21 @@ struct DiscoveryService::Instruments {
   HistogramHandle latency_seconds;
   HistogramHandle verifications_per_request;
   HistogramHandle shard_busy_seconds;
+  CounterHandle wal_attach_failed;
+  CounterHandle rows_appended;
+  CounterHandle appends_rejected;
+  CounterHandle rows_tombstoned;
+  CounterHandle tombstones_rejected;
+  CounterHandle compactions;
+  CounterHandle compactions_failed;
+  CounterHandle compacted_appends;
+  CounterHandle compacted_tombstones;
+  // Ops committed while a fold merged: the rebased tails, summed.
+  CounterHandle compaction_tail_ops;
+  // Append/AppendBatch/TombstoneAt wall time, rejections too (Tombstone
+  // forwards to TombstoneAt).
+  HistogramHandle append_seconds;
+  HistogramHandle compaction_seconds;
   // Indexed by shard; only sharded runs update them. Deques because
   // handles are immovable.
   std::deque<PerShard> shards;
@@ -185,7 +226,7 @@ DiscoveryService::DiscoveryService(std::vector<Database> shards,
       std::string shard_error;
       if (!lives_[s]->AttachWal(ShardPath(options_.wal_path, s, n),
                                 &shard_error)) {
-        metrics_.GetCounter("wal_attach_failed").Increment();
+        instruments_->wal_attach_failed.Increment();
         if (wal_error_.empty()) wal_error_ = std::move(shard_error);
       }
     }
@@ -199,7 +240,7 @@ DiscoveryService::DiscoveryService(std::vector<Database> shards,
         RecordCompaction(stats);
       };
       co.on_error = [this](const std::string&) {
-        metrics_.GetCounter("compactions_failed").Increment();
+        instruments_->compactions_failed.Increment();
       };
       compactors_.push_back(
           std::make_unique<Compactor>(lives_[s].get(), std::move(co)));
@@ -446,12 +487,19 @@ std::string DiscoveryService::ChromeTraces() const {
 
 bool DiscoveryService::Append(int rel, std::vector<Value> values,
                               std::string* error) {
+  ScopedObserve timed(instruments_->append_seconds);
+  return AppendRow(rel, std::move(values), error);
+}
+
+bool DiscoveryService::AppendRow(int rel, std::vector<Value> values,
+                                 std::string* error) {
+  Instruments& m = *instruments_;
   if (num_shards() == 1) {
     if (!lives_[0]->Append(rel, std::move(values), error)) {
-      metrics_.GetCounter("appends_rejected").Increment();
+      m.appends_rejected.Increment();
       return false;
     }
-    metrics_.GetCounter("rows_appended").Increment();
+    m.rows_appended.Increment();
     RotateCache();
     return true;
   }
@@ -471,10 +519,10 @@ bool DiscoveryService::Append(int rel, std::vector<Value> values,
   const int shard =
       RouteAppend(views, rel, values, options_.shard_seed, error);
   if (shard < 0 || !lives_[shard]->Append(rel, std::move(values), error)) {
-    metrics_.GetCounter("appends_rejected").Increment();
+    m.appends_rejected.Increment();
     return false;
   }
-  metrics_.GetCounter("rows_appended").Increment();
+  m.rows_appended.Increment();
   RotateCache();
   return true;
 }
@@ -482,13 +530,15 @@ bool DiscoveryService::Append(int rel, std::vector<Value> values,
 bool DiscoveryService::AppendBatch(int rel,
                                    std::vector<std::vector<Value>> rows,
                                    std::string* error) {
+  Instruments& m = *instruments_;
+  ScopedObserve timed(m.append_seconds);
   const int64_t n = static_cast<int64_t>(rows.size());
   if (num_shards() == 1) {
     if (!lives_[0]->AppendBatch(rel, std::move(rows), error)) {
-      metrics_.GetCounter("appends_rejected").Increment(n);
+      m.appends_rejected.Increment(n);
       return false;
     }
-    metrics_.GetCounter("rows_appended").Increment(n);
+    m.rows_appended.Increment(n);
     RotateCache();
     return true;
   }
@@ -498,8 +548,8 @@ bool DiscoveryService::AppendBatch(int rel,
   // batch). Not all-or-nothing across shards: on failure, rows before the
   // offending one stay applied and `*error` says how many.
   for (int64_t i = 0; i < n; ++i) {
-    if (!Append(rel, std::move(rows[i]), error)) {
-      metrics_.GetCounter("appends_rejected").Increment(n - i - 1);
+    if (!AppendRow(rel, std::move(rows[i]), error)) {
+      m.appends_rejected.Increment(n - i - 1);
       if (error != nullptr) {
         *error += " (batch row " + std::to_string(i) + "; prior rows kept)";
       }
@@ -514,7 +564,7 @@ bool DiscoveryService::Tombstone(int rel, uint32_t row, std::string* error) {
     if (error != nullptr) {
       *error = "row ids are shard-local in sharded mode; use TombstoneAt";
     }
-    metrics_.GetCounter("tombstones_rejected").Increment();
+    instruments_->tombstones_rejected.Increment();
     return false;
   }
   return TombstoneAt(0, rel, row, error);
@@ -522,18 +572,20 @@ bool DiscoveryService::Tombstone(int rel, uint32_t row, std::string* error) {
 
 bool DiscoveryService::TombstoneAt(int shard, int rel, uint32_t row,
                                    std::string* error) {
+  Instruments& m = *instruments_;
+  ScopedObserve timed(m.append_seconds);
   if (shard < 0 || shard >= num_shards()) {
     if (error != nullptr) {
       *error = "no such shard " + std::to_string(shard);
     }
-    metrics_.GetCounter("tombstones_rejected").Increment();
+    m.tombstones_rejected.Increment();
     return false;
   }
   if (!lives_[shard]->Tombstone(rel, row, error)) {
-    metrics_.GetCounter("tombstones_rejected").Increment();
+    m.tombstones_rejected.Increment();
     return false;
   }
-  metrics_.GetCounter("rows_tombstoned").Increment();
+  m.rows_tombstoned.Increment();
   RotateCache();
   return true;
 }
@@ -552,7 +604,7 @@ bool DiscoveryService::CompactNow(std::string* error, CompactionStats* stats) {
     CompactionStats* out = (stats != nullptr && s == 0) ? stats : &local;
     if (!lives_[s]->Compact(ShardPath(options_.compact_snapshot_path, s, n),
                             error, out)) {
-      metrics_.GetCounter("compactions_failed").Increment();
+      instruments_->compactions_failed.Increment();
       return false;
     }
     if (out->epoch != 0) RecordCompaction(*out);
@@ -561,13 +613,13 @@ bool DiscoveryService::CompactNow(std::string* error, CompactionStats* stats) {
 }
 
 void DiscoveryService::RecordCompaction(const CompactionStats& stats) {
-  metrics_.GetCounter("compactions").Increment();
-  metrics_.GetCounter("compacted_appends")
-      .Increment(static_cast<int64_t>(stats.merged_appends));
-  metrics_.GetCounter("compacted_tombstones")
-      .Increment(static_cast<int64_t>(stats.merged_tombstones));
-  metrics_.GetHistogram("compaction_seconds", LatencyBounds(options_))
-      .Observe(stats.seconds);
+  Instruments& m = *instruments_;
+  m.compactions.Increment();
+  m.compacted_appends.Increment(static_cast<int64_t>(stats.merged_appends));
+  m.compacted_tombstones.Increment(
+      static_cast<int64_t>(stats.merged_tombstones));
+  m.compaction_tail_ops.Increment(static_cast<int64_t>(stats.remaining_ops));
+  m.compaction_seconds.Observe(stats.seconds);
   RotateCache();
 }
 

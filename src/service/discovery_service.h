@@ -108,7 +108,8 @@ struct ServiceOptions {
   std::function<void(const std::string&)> slow_query_sink;
 
   /// Upper bounds (seconds, ascending) of every latency-shaped histogram
-  /// (queue_seconds, latency_seconds, compaction_seconds, phase_seconds_*).
+  /// (queue_seconds, latency_seconds, append_seconds, compaction_seconds,
+  /// phase_seconds_*).
   /// Empty = the default 100 µs .. ~100 s exponential ladder. Injectable so
   /// sub-millisecond deployments get resolution instead of one fat bucket.
   std::vector<double> latency_buckets;
@@ -209,7 +210,9 @@ class DiscoveryService {
   bool Flush(std::string* error);
 
   /// Synchronously folds the overlay into a fresh base (and refreshes the
-  /// snapshot per ServiceOptions::compact_snapshot_path).
+  /// snapshot per ServiceOptions::compact_snapshot_path). Waits for a fold
+  /// the background compactor has in progress; appends keep committing
+  /// while the merge runs.
   bool CompactNow(std::string* error, CompactionStats* stats = nullptr);
 
   /// Catalog/data of the currently published epoch (shard 0 in sharded
@@ -252,6 +255,9 @@ class DiscoveryService {
   /// promise. Called exactly once per request.
   static void Deliver(Request& request, ServiceResponse&& response);
   void Run(const std::shared_ptr<Request>& request);
+  /// Append without observing `append_seconds` (AppendBatch's sharded
+  /// path calls it per row and observes the batch once).
+  bool AppendRow(int rel, std::vector<Value> values, std::string* error);
   void RecordCompaction(const CompactionStats& stats);
   /// Runs after every epoch publish this service causes: drops the eval
   /// cache's previous generation and demotes the current one.

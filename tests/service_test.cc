@@ -165,6 +165,17 @@ TEST(ServiceStressTest, EightThreadsMatchSingleThreadedOnRetailer) {
       << error;
   EXPECT_NE(service.MetricsDump().find("counter   eval_cache_generations 1\n"),
             std::string::npos);
+
+  // The ingest metrics: every mutation's latency, and the ops a fold left
+  // in the log (none here: nothing commits during this fold).
+  ASSERT_TRUE(service.CompactNow(&error)) << error;
+  dump = service.MetricsDump();
+  EXPECT_NE(dump.find("histogram append_seconds count=1 "), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("counter   compaction_tail_ops 0\n"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("counter   compactions 1\n"), std::string::npos)
+      << dump;
 }
 
 TEST(ServiceStressTest, EightThreadsMatchSingleThreadedOnImdb) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "exec/predicate.h"
+#include "ingest/db_view.h"
 #include "schema/join_tree.h"
 #include "schema/schema_graph.h"
 #include "storage/database.h"
@@ -13,6 +14,28 @@
 
 namespace qbe {
 namespace test {
+
+/// Every live row of every relation, in row order, one string per row.
+inline std::vector<std::string> LiveRows(const DbView& view) {
+  std::vector<std::string> out;
+  for (int r = 0; r < view.num_relations(); ++r) {
+    const Relation& rel = view.relation(r);
+    for (uint32_t row = 0; row < view.TotalRows(r); ++row) {
+      if (!view.IsLive(r, row)) continue;
+      std::string line = rel.name();
+      for (int c = 0; c < rel.num_columns(); ++c) {
+        line += '|';
+        if (rel.columns()[c].type == ColumnType::kId) {
+          line += std::to_string(view.IdAt(r, c, row));
+        } else {
+          line += view.TextAt(r, c, row);
+        }
+      }
+      out.push_back(std::move(line));
+    }
+  }
+  return out;
+}
 
 /// ColumnRef from a "Relation.Column" string.
 inline ColumnRef Col(const Database& db, const std::string& qualified) {
