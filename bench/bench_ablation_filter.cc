@@ -83,11 +83,14 @@ void Run(const BenchArgs& args) {
         GenerateCandidates(*bundle.db, *bundle.graph, et, gen_options);
     std::vector<bool> reference;
     for (size_t v = 0; v < variants.size(); ++v) {
-      VerifyContext ctx{*bundle.db, *bundle.graph, *bundle.exec,
-                        et,         candidates,     args.seed};
-      ctx.subtree_memo = variants[v].subtree_memo;
+      ShardExecOptions probe_options;
+      probe_options.subtree_memo = variants[v].subtree_memo;
+      ShardExecSet probes(DbView(*bundle.db), *bundle.graph, probe_options);
+      VerifyContext ctx{*bundle.db, *bundle.graph, probes,
+                        et,         candidates,    args.seed};
       VerificationCounters counters;
       std::vector<bool> valid = variants[v].algo->Verify(ctx, &counters);
+      probes.AddCacheCounters(&counters);
       if (v == 0) {
         reference = valid;
       } else {

@@ -258,13 +258,13 @@ BENCHMARK(BM_FilterUniverseBuildCustHeavy)->Unit(benchmark::kMillisecond);
 void BM_FilterVerifyImdb(benchmark::State& state) {
   const Database& db = ImdbDb();
   const SchemaGraph& graph = ImdbGraph();
-  const Executor exec(db, graph);
   ExampleTable et = NameTitleEt();
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db, graph, et, {});
-  VerifyContext ctx{db, graph, exec, et, candidates, 42};
   FilterVerifier filter;
   for (auto _ : state) {
+    ShardExecSet probes(DbView(db), graph);
+    VerifyContext ctx{db, graph, probes, et, candidates, 42};
     VerificationCounters counters;
     benchmark::DoNotOptimize(filter.Verify(ctx, &counters));
     state.counters["verifications"] =
@@ -275,9 +275,10 @@ BENCHMARK(BM_FilterVerifyImdb);
 
 void BM_FilterVerifyCustHeavy(benchmark::State& state) {
   const CustHeavyCase& c = CustHeavy();
-  VerifyContext ctx{c.db, c.graph, c.exec, c.et, c.candidates, 42};
   FilterVerifier filter;
   for (auto _ : state) {
+    ShardExecSet probes(DbView(c.db), c.graph);
+    VerifyContext ctx{c.db, c.graph, probes, c.et, c.candidates, 42};
     VerificationCounters counters;
     benchmark::DoNotOptimize(filter.Verify(ctx, &counters));
     state.counters["verifications"] =

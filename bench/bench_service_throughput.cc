@@ -382,7 +382,8 @@ void Run(const BenchArgs& args, const std::string& shard_json_path) {
   // over a decomposable order-chain dataset partitioned into 1/2/4 shards.
   // Every point QBE_CHECKs that its SQL sets and scores are bit-identical
   // to the unsharded point, so the table below is pure overhead-vs-speedup:
-  // coordinator fan-out + per-shard probe cost against shard-local work.
+  // multi-view probe fan-out + per-shard probe cost against shard-local
+  // work.
   const int customers = std::max(200, static_cast<int>(20000 * args.scale));
   const uint64_t chain_seed = args.seed * 131 + 9;
   std::vector<ExampleTable> chain_workload;

@@ -1,6 +1,8 @@
 #include "core/candidate_gen.h"
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 
 #include "ingest/db_view.h"
 #include "kernels/kernels.h"
@@ -10,51 +12,83 @@
 namespace qbe {
 namespace {
 
-/// Folds the per-row "columns containing this cell" gid lists of ET column
-/// `c` into their intersection — the candidate projection columns of
-/// Eq. 3. The one shared accumulator behind both the plain-Database and
-/// DbView retrieval paths; row lists come from `matches_for_row` (sorted
-/// ascending) and the intersection runs on the dispatched kernel layer
-/// (DESIGN.md §14).
-template <typename MatchesForRow>
-std::vector<int> IntersectColumnsOverRows(const ExampleTable& et, int c,
-                                          MatchesForRow&& matches_for_row) {
-  std::vector<int> gids;
-  std::vector<int> scratch;
-  bool first = true;
-  for (int r = 0; r < et.num_rows() && (first || !gids.empty()); ++r) {
-    if (et.cell(r, c).IsEmpty()) continue;
-    if (first) {
-      gids = matches_for_row(r);
-      first = false;
-    } else {
-      kernels::IntersectSortedInPlace(&gids, matches_for_row(r), &scratch);
+/// The gids of the text columns containing ET cell (r, c), ascending: the
+/// union over the views of each view's set. Containment is a per-row
+/// property and the views partition the rows, so the union is exact;
+/// tokens resolve against each view's own dictionary (a token a view lacks
+/// matches nothing there, which is what the global answer needs).
+class CellColumns {
+ public:
+  explicit CellColumns(std::span<const DbView> views) : views_(views) {}
+
+  const std::vector<int>& Of(const ExampleTable& et, int r, int c) {
+    const std::vector<std::string>& tokens = et.CellTokens(r, c);
+    views_[0].IdsOfInto(tokens, &ids_);
+    views_[0].ColumnsContainingIdsInto(ids_, &gids_);
+    for (size_t v = 1; v < views_.size(); ++v) {
+      views_[v].IdsOfInto(tokens, &ids_);
+      views_[v].ColumnsContainingIdsInto(ids_, &view_gids_);
+      merged_.clear();
+      std::set_union(gids_.begin(), gids_.end(), view_gids_.begin(),
+                     view_gids_.end(), std::back_inserter(merged_));
+      gids_.swap(merged_);
     }
+    return gids_;
   }
-  // A well-formed ET has at least one non-empty cell per column, so
-  // `first` is false here (Definition 1 forbids empty columns).
-  QBE_CHECK_MSG(!first, "example table has an empty column");
-  return gids;
-}
+
+ private:
+  std::span<const DbView> views_;
+  std::vector<uint32_t> ids_;
+  std::vector<int> gids_;
+  std::vector<int> view_gids_;
+  std::vector<int> merged_;
+};
 
 }  // namespace
 
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumns(
-    const Database& db, const ExampleTable& et) {
-  const ColumnIndex& ci = db.column_index();
+    std::span<const DbView> views, const ExampleTable& et) {
+  CellColumns cell_columns(views);
   std::vector<std::vector<ColumnRef>> result(et.num_columns());
+  std::vector<int> gids;
+  std::vector<int> scratch;
   for (int c = 0; c < et.num_columns(); ++c) {
-    std::vector<int> gids = IntersectColumnsOverRows(et, c, [&](int r) {
-      return ci.ColumnsContaining(et.CellTokens(r, c));
-    });
-    for (int gid : gids) result[c].push_back(db.TextColumnByGid(gid));
+    // Fold the per-row column sets into their intersection on the
+    // dispatched kernel layer (DESIGN.md §14).
+    bool first = true;
+    for (int r = 0; r < et.num_rows() && (first || !gids.empty()); ++r) {
+      if (et.cell(r, c).IsEmpty()) continue;
+      const std::vector<int>& cell = cell_columns.Of(et, r, c);
+      if (first) {
+        gids = cell;
+        first = false;
+      } else {
+        kernels::IntersectSortedInPlace(&gids, cell, &scratch);
+      }
+    }
+    // A well-formed ET has at least one non-empty cell per column, so
+    // `first` is false here (Definition 1 forbids empty columns).
+    QBE_CHECK_MSG(!first, "example table has an empty column");
+    for (int gid : gids) result[c].push_back(views[0].TextColumnByGid(gid));
   }
   return result;
 }
 
+std::vector<std::vector<ColumnRef>> RetrieveCandidateColumns(
+    const DbView& view, const ExampleTable& et) {
+  return RetrieveCandidateColumns(std::span<const DbView>(&view, 1), et);
+}
+
+std::vector<std::vector<ColumnRef>> RetrieveCandidateColumns(
+    const Database& db, const ExampleTable& et) {
+  return RetrieveCandidateColumns(DbView(db), et);
+}
+
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
-    const Database& db, const ExampleTable& et, int min_row_support) {
-  const ColumnIndex& ci = db.column_index();
+    std::span<const DbView> views, const ExampleTable& et,
+    int min_row_support) {
+  const Database& db = views[0].base();
+  CellColumns cell_columns(views);
   int need = std::min(min_row_support, et.num_rows());
   std::vector<std::vector<ColumnRef>> result(et.num_columns());
   for (int c = 0; c < et.num_columns(); ++c) {
@@ -67,66 +101,22 @@ std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
         ++empty_rows;
         continue;
       }
-      for (int gid : ci.ColumnsContaining(et.CellTokens(r, c))) {
-        counts[gid] += 1;
-      }
+      for (int gid : cell_columns.Of(et, r, c)) counts[gid] += 1;
     }
     for (int gid = 0; gid < db.TotalTextColumns(); ++gid) {
       if (counts[gid] + empty_rows >= need) {
         result[c].push_back(db.TextColumnByGid(gid));
       }
     }
-  }
-  return result;
-}
-
-std::vector<std::vector<ColumnRef>> RetrieveCandidateColumns(
-    const DbView& view, const ExampleTable& et) {
-  if (view.plain()) return RetrieveCandidateColumns(view.base(), et);
-  std::vector<std::vector<ColumnRef>> result(et.num_columns());
-  std::vector<uint32_t> ids;
-  std::vector<int> matches;
-  for (int c = 0; c < et.num_columns(); ++c) {
-    std::vector<int> gids =
-        IntersectColumnsOverRows(et, c, [&](int r) -> const std::vector<int>& {
-          view.IdsOfInto(et.CellTokens(r, c), &ids);
-          view.ColumnsContainingIdsInto(ids, &matches);
-          return matches;
-        });
-    for (int gid : gids) result[c].push_back(view.TextColumnByGid(gid));
   }
   return result;
 }
 
 std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
-    const DbView& view, const ExampleTable& et, int min_row_support) {
-  if (view.plain()) {
-    return RetrieveCandidateColumnsRelaxed(view.base(), et, min_row_support);
-  }
-  const Database& db = view.base();
-  int need = std::min(min_row_support, et.num_rows());
-  std::vector<std::vector<ColumnRef>> result(et.num_columns());
-  std::vector<uint32_t> ids;
-  std::vector<int> matches;
-  for (int c = 0; c < et.num_columns(); ++c) {
-    std::vector<int> counts(db.TotalTextColumns(), 0);
-    int empty_rows = 0;
-    for (int r = 0; r < et.num_rows(); ++r) {
-      if (et.cell(r, c).IsEmpty()) {
-        ++empty_rows;
-        continue;
-      }
-      view.IdsOfInto(et.CellTokens(r, c), &ids);
-      view.ColumnsContainingIdsInto(ids, &matches);
-      for (int gid : matches) counts[gid] += 1;
-    }
-    for (int gid = 0; gid < db.TotalTextColumns(); ++gid) {
-      if (counts[gid] + empty_rows >= need) {
-        result[c].push_back(db.TextColumnByGid(gid));
-      }
-    }
-  }
-  return result;
+    const Database& db, const ExampleTable& et, int min_row_support) {
+  const DbView view(db);
+  return RetrieveCandidateColumnsRelaxed(std::span<const DbView>(&view, 1),
+                                         et, min_row_support);
 }
 
 namespace {

@@ -7,10 +7,10 @@
 #include "core/simple_prune.h"
 #include "core/verify_all.h"
 #include "core/weave.h"
-#include "exec/executor.h"
 #include "exec/sql_render.h"
 #include "obs/trace.h"
 #include "schema/schema_graph.h"
+#include "util/check.h"
 #include "util/stopwatch.h"
 
 namespace qbe {
@@ -19,16 +19,24 @@ namespace {
 /// Ranking score (§8 future work): prefer fewer joins (simpler
 /// explanations) and more selective projection columns (mappings where the
 /// ET values pin down few base rows are likelier to reflect user intent).
-double RankScore(const DbView& view, const ExampleTable& et,
-                 const EtTokenIds& et_ids, const CandidateQuery& query) {
+/// Match and live-row counts are integers summed over the views first
+/// (exact: the views partition the rows), so every partition of the data
+/// feeds the same operands to the same double arithmetic.
+double RankScore(std::span<const DbView> views,
+                 const std::vector<EtTokenIds>& et_ids,
+                 const ExampleTable& et, const CandidateQuery& query) {
   double selectivity_sum = 0.0;
   int cells = 0;
   for (int c = 0; c < et.num_columns(); ++c) {
     const ColumnRef& col = query.projection[c];
-    const uint32_t live_rows = view.LiveRows(col.rel);
+    uint64_t live_rows = 0;
+    for (const DbView& view : views) live_rows += view.LiveRows(col.rel);
     for (int r = 0; r < et.num_rows(); ++r) {
       if (et.cell(r, c).IsEmpty()) continue;
-      size_t matches = view.MatchCount(col, et_ids.CellIds(r, c));
+      size_t matches = 0;
+      for (size_t v = 0; v < views.size(); ++v) {
+        matches += views[v].MatchCount(col, et_ids[v].CellIds(r, c));
+      }
       selectivity_sum += live_rows == 0
                              ? 0.0
                              : static_cast<double>(matches) /
@@ -40,12 +48,12 @@ double RankScore(const DbView& view, const ExampleTable& et,
   return 1.0 / query.tree.NumVertices() + 0.5 * (1.0 - avg_selectivity);
 }
 
-}  // namespace
-
+/// True once `options.deadline` has expired.
 bool DeadlineExpired(const DiscoveryOptions& options) {
   return options.deadline != nullptr && options.deadline->Expired();
 }
 
+/// Voids `result` as a deadline timeout and returns it.
 DiscoveryResult& MarkTimedOut(DiscoveryResult& result) {
   result.timed_out = true;
   result.error = "deadline exceeded before verification finished";
@@ -53,6 +61,7 @@ DiscoveryResult& MarkTimedOut(DiscoveryResult& result) {
   return result;
 }
 
+/// The trace span that covers verification under `options`.
 SpanKind VerifySpanKind(const DiscoveryOptions& options) {
   if (options.min_row_support >= 0) return SpanKind::kRelaxedVerify;
   switch (options.algorithm) {
@@ -65,6 +74,7 @@ SpanKind VerifySpanKind(const DiscoveryOptions& options) {
   return SpanKind::kVerifyAll;
 }
 
+/// The verifier `options.algorithm` selects.
 std::unique_ptr<CandidateVerifier> MakeVerifier(
     const DiscoveryOptions& options) {
   switch (options.algorithm) {
@@ -86,6 +96,8 @@ std::unique_ptr<CandidateVerifier> MakeVerifier(
   return nullptr;
 }
 
+}  // namespace
+
 DiscoveryResult DiscoverQueries(const Database& db, const ExampleTable& et,
                                 const DiscoveryOptions& options) {
   return DiscoverQueries(DbView(db), et, options, 0);
@@ -94,7 +106,16 @@ DiscoveryResult DiscoverQueries(const Database& db, const ExampleTable& et,
 DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
                                 const DiscoveryOptions& options,
                                 uint64_t data_epoch) {
-  const Database& db = view.base();
+  return DiscoverQueries(std::span<const DbView>(&view, 1), et, options,
+                         data_epoch);
+}
+
+DiscoveryResult DiscoverQueries(std::span<const DbView> views,
+                                const ExampleTable& et,
+                                const DiscoveryOptions& options,
+                                uint64_t data_epoch, ShardStats* stats) {
+  QBE_CHECK_MSG(!views.empty(), "discovery needs at least one view");
+  const Database& db = views[0].base();
   DiscoveryResult result;
   if (!et.IsWellFormed()) {
     result.error =
@@ -103,18 +124,20 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
   }
   if (DeadlineExpired(options)) return MarkTimedOut(result);
 
-  // The schema (relations, FK edges) is immutable across epochs, so the
-  // graph and join-tree enumeration are overlay-independent; only row-level
-  // reads go through the view.
+  // The schema (relations, FK edges) is immutable across epochs and shared
+  // by every view, so the graph and join-tree enumeration are built once
+  // from the first view's base; only row-level reads go through the views.
   SchemaGraph graph(db);
-  Executor exec(view, graph);
 
   TraceContext* trace = options.trace;
-  if (trace != nullptr && view.delta() != nullptr) {
-    trace->Count(TraceCounter::kDeltaRows,
-                 static_cast<int64_t>(view.delta()->appended_total));
-    trace->Count(TraceCounter::kDeltaTombstones,
-                 static_cast<int64_t>(view.delta()->tombstones_total));
+  if (trace != nullptr) {
+    for (const DbView& view : views) {
+      if (view.delta() == nullptr) continue;
+      trace->Count(TraceCounter::kDeltaRows,
+                   static_cast<int64_t>(view.delta()->appended_total));
+      trace->Count(TraceCounter::kDeltaTombstones,
+                   static_cast<int64_t>(view.delta()->tombstones_total));
+    }
   }
 
   Stopwatch gen_timer;
@@ -126,8 +149,8 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
   gen_options.deadline = options.deadline;
   std::vector<std::vector<ColumnRef>> candidate_columns =
       options.min_row_support >= 0
-          ? RetrieveCandidateColumnsRelaxed(view, et, options.min_row_support)
-          : RetrieveCandidateColumns(view, et);
+          ? RetrieveCandidateColumnsRelaxed(views, et, options.min_row_support)
+          : RetrieveCandidateColumns(views, et);
   for (const auto& cols : candidate_columns) {
     result.candidate_columns_per_et_column.push_back(cols.size());
   }
@@ -144,21 +167,33 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
   if (DeadlineExpired(options)) return MarkTimedOut(result);
   if (candidates.empty()) return result;
 
-  // Resolve the ET's tokens against the version's dictionary once (base
-  // dictionary plus overlay tokens); every predicate this request builds
-  // carries id vectors from here on.
+  // Resolve the ET's tokens against each view's dictionary once (base
+  // dictionary plus overlay tokens). With one view every predicate carries
+  // these id vectors; with several there is no global id space, so
+  // predicates stay token-level and each view's executor resolves them on
+  // entry. Ranking reads every view's ids.
   SpanRef resolve_span =
       trace == nullptr ? kNullSpan
                        : trace->OpenSpan(SpanKind::kEtTokenResolve);
-  EtTokenIds et_ids(et, view);
+  std::vector<EtTokenIds> et_ids;
+  et_ids.reserve(views.size());
+  for (const DbView& view : views) et_ids.emplace_back(et, view);
   if (trace != nullptr) trace->CloseSpan(resolve_span);
-  MatchCache match_cache;
-  VerifyContext ctx{db,           graph,         exec,
-                    et,           candidates,    options.seed,
-                    options.cache, options.deadline,
-                    &et_ids,      options.subtree_memo,
-                    options.use_match_cache ? &match_cache : nullptr,
-                    data_epoch,   view.delta(),
+
+  ShardExecOptions probe_options;
+  probe_options.subtree_memo = options.subtree_memo;
+  probe_options.use_match_cache = options.use_match_cache;
+  ShardExecSet probes(views, graph, probe_options);
+  VerifyContext ctx{db,
+                    graph,
+                    probes,
+                    et,
+                    candidates,
+                    options.seed,
+                    options.cache,
+                    options.deadline,
+                    views.size() == 1 ? &et_ids[0] : nullptr,
+                    data_epoch,
                     trace};
 
   // Per-algorithm verification span; every evaluation runs on this thread
@@ -195,10 +230,10 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
       matched[q] = valid[q] ? et.num_rows() : 0;
     }
   }
-  result.counters.match_cache_hits +=
-      static_cast<int64_t>(match_cache.hits());
-  result.counters.match_cache_lookups +=
-      static_cast<int64_t>(match_cache.lookups());
+  // Cache traffic is diagnostics: with several views it is counted per
+  // view and legitimately differs from one view's, unlike the verification
+  // counters above.
+  probes.AddCacheCounters(&result.counters);
   if (trace != nullptr) {
     trace->CloseSpan(verify_span);
     trace->Count(TraceCounter::kQueriesVerified,
@@ -212,6 +247,7 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
     trace->Count(TraceCounter::kSubtreeMemoLookups,
                  result.counters.subtree_memo_lookups);
   }
+  if (stats != nullptr) *stats = probes.Stats();
 
   // An aborted run's validity vector is fabricated from the abort point on;
   // surface the timeout instead of a wrong answer.
@@ -228,8 +264,9 @@ DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
     out.sql = RenderProjectJoinSql(db, graph, candidates[q].tree,
                                    candidates[q].projection, labels);
     out.matched_rows = matched[q];
-    out.score =
-        options.rank_results ? RankScore(view, et, et_ids, candidates[q]) : 0.0;
+    out.score = options.rank_results
+                    ? RankScore(views, et_ids, et, candidates[q])
+                    : 0.0;
     result.queries.push_back(std::move(out));
   }
   if (options.rank_results) {

@@ -1,7 +1,7 @@
 #ifndef QBE_CORE_DISCOVERY_H_
 #define QBE_CORE_DISCOVERY_H_
 
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,33 +110,32 @@ struct DiscoveryResult {
 
 /// End-to-end query discovery (the system task of §2.2): candidate
 /// generation (§3.2) followed by candidate verification with the selected
-/// algorithm. The database must have its indexes built.
+/// algorithm, over one or more pinned views of one logical database.
+///
+/// One view is unsharded discovery. Several views are the FK-co-located
+/// shards of one partition (SplitDatabase or a shardset manifest; one
+/// shared catalog; DESIGN.md §15): retrieval unions each cell's column set
+/// across views, every existence query is answered by probing the views in
+/// canonical order, and ranking sums match and live-row counts over them —
+/// so the SQL, scores, matched-row counts and verification counters are the
+/// same for every partition of the data. `data_epoch` namespaces shared
+/// eval-cache outcomes per data version (0 = plain immutable data). A
+/// non-null `stats` receives the per-view probe accounting, which only a
+/// multi-view request keeps.
+DiscoveryResult DiscoverQueries(std::span<const DbView> views,
+                                const ExampleTable& et,
+                                const DiscoveryOptions& options,
+                                uint64_t data_epoch,
+                                ShardStats* stats = nullptr);
+
+/// One plain database.
 DiscoveryResult DiscoverQueries(const Database& db, const ExampleTable& et,
                                 const DiscoveryOptions& options = {});
 
-/// Version-aware discovery over a pinned live-database epoch (base +
-/// delta overlay; DESIGN.md §12). With a plain view and data_epoch 0 this
-/// is exactly the Database overload (which forwards here). `data_epoch`
-/// namespaces shared eval-cache outcomes per data version — pass the
-/// pinned DbVersion's epoch when serving over a LiveDatabase.
+/// One pinned live-database epoch (base + delta overlay; DESIGN.md §12).
 DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
                                 const DiscoveryOptions& options,
                                 uint64_t data_epoch);
-
-// Pipeline steps shared with the sharded engine (shard/coordinator.h).
-
-/// True once `options.deadline` has expired.
-bool DeadlineExpired(const DiscoveryOptions& options);
-
-/// Voids `result` as a deadline timeout and returns it.
-DiscoveryResult& MarkTimedOut(DiscoveryResult& result);
-
-/// The trace span that covers verification under `options`.
-SpanKind VerifySpanKind(const DiscoveryOptions& options);
-
-/// The verifier `options.algorithm` selects.
-std::unique_ptr<CandidateVerifier> MakeVerifier(
-    const DiscoveryOptions& options);
 
 }  // namespace qbe
 

@@ -8,13 +8,14 @@ namespace qbe {
 std::vector<bool> ExecuteAll::Verify(const VerifyContext& ctx,
                                      VerificationCounters* counters) {
   Stopwatch timer;
+  const Executor& exec = ctx.probes.executor(0);
   std::vector<bool> valid(ctx.candidates.size(), false);
   for (size_t q = 0; q < ctx.candidates.size(); ++q) {
     const CandidateQuery& query = ctx.candidates[q];
     counters->verifications += 1;
 
     // Execute the whole project-join query (no predicates pushed).
-    std::vector<std::vector<std::string>> output = ctx.exec.Materialize(
+    std::vector<std::vector<std::string>> output = exec.Materialize(
         query.tree, {}, query.projection, cap_ + 1);
     if (output.size() > cap_) {
       // Output too large to hold: fall back to per-row TOP-1 probes so the
@@ -23,7 +24,7 @@ std::vector<bool> ExecuteAll::Verify(const VerifyContext& ctx,
           static_cast<int64_t>(output.size()) * query.tree.NumVertices();
       bool ok = true;
       for (int row = 0; row < ctx.et.num_rows() && ok; ++row) {
-        ok = ctx.exec.Exists(query.tree, RowPredicates(query, ctx.et, row));
+        ok = exec.Exists(query.tree, RowPredicates(query, ctx.et, row));
       }
       valid[q] = ok;
       continue;

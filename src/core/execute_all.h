@@ -18,6 +18,9 @@ namespace qbe {
 /// join-tree size once per materialized output tuple (executing the whole
 /// join rather than a TOP-1 probe), which is what makes this approach lose
 /// even though its verification *count* is the smallest possible.
+///
+/// Materializes through the first view's executor, so it verifies one
+/// unsharded view only.
 class ExecuteAll : public CandidateVerifier {
  public:
   /// `output_cap` bounds the materialized output per candidate as a safety

@@ -1,5 +1,7 @@
 #include "core/explain.h"
 
+#include <utility>
+
 #include "core/candidate_gen.h"
 #include "core/filter_universe.h"
 #include "schema/schema_graph.h"
@@ -9,6 +11,19 @@ namespace qbe {
 DiscoveryExplain ExplainDiscovery(const Database& db, const ExampleTable& et,
                                   const DiscoveryOptions& options) {
   DiscoveryExplain explain;
+
+  // The actual discovery runs first: it validates the input, and an input
+  // it refuses gets its error instead of the stages below, which assume a
+  // well-formed example table. It shares nothing with the stages; their
+  // statistics describe the same run.
+  DiscoveryResult result = DiscoverQueries(db, et, options);
+  if (!result.ok()) {
+    explain.error = std::move(result.error);
+    return explain;
+  }
+  explain.num_valid = result.queries.size();
+  explain.counters = result.counters;
+  explain.queries = std::move(result.queries);
 
   // Stage 1: candidate projection columns.
   std::vector<std::vector<ColumnRef>> candidate_columns =
@@ -46,13 +61,6 @@ DiscoveryExplain ExplainDiscovery(const Database& db, const ExampleTable& et,
       if (f.IsTriviallySuccessful()) explain.num_trivial_filters += 1;
     }
   }
-
-  // Stage 4: the actual discovery (shares nothing with the above; results
-  // must match a plain DiscoverQueries call).
-  DiscoveryResult result = DiscoverQueries(db, et, options);
-  explain.num_valid = result.queries.size();
-  explain.counters = result.counters;
-  explain.queries = std::move(result.queries);
   return explain;
 }
 

@@ -36,6 +36,11 @@ struct DiscoveryExplain {
   size_t num_trivial_filters = 0;
   VerificationCounters counters;
   std::vector<DiscoveredQuery> queries;
+  /// Empty on success; otherwise the error DiscoverQueries returned for the
+  /// same input (e.g. a malformed example table), and no stage ran.
+  std::string error;
+
+  bool ok() const { return error.empty(); }
 
   /// Multi-line human-readable rendering.
   std::string ToString() const;

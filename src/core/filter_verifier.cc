@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "shard/shard_exec.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 
@@ -221,9 +220,7 @@ int SelectLazy(const AdaptiveState& s,
 std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
                                          VerificationCounters* counters) {
   Stopwatch timer;
-  Executor::SubtreeMemo subtree_memo;
-  EvalEngine engine(ctx, counters,
-                    ctx.subtree_memo ? &subtree_memo : nullptr);
+  EvalEngine engine(ctx, counters);
   FilterUniverse universe =
       BuildFilterUniverse(ctx.graph, ctx.et, ctx.candidates, ctx.deadline);
   // A universe cut short by the deadline cannot drive Algorithm 1; the
@@ -256,14 +253,12 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
   for (int c = 0; c < universe.num_classes(); ++c) {
     const Filter& filter = universe.filters[universe.class_members[c][0]];
     if (!filter.IsTriviallySuccessful()) continue;
-    // Sharded mode: emptiness is a global property — a relation can be
-    // empty in shard 0 yet populated elsewhere, so the check must sum
-    // live rows across the whole shard set (DESIGN.md §15).
-    const uint64_t live_rows =
-        ctx.shards != nullptr
-            ? ctx.shards->TotalLiveRows(filter.tree.verts.First())
-            : DbView(ctx.db, ctx.delta).LiveRows(filter.tree.verts.First());
-    if (live_rows > 0) s.MarkSuccess(c);
+    // Emptiness is a global property — a relation can be empty in one
+    // shard yet populated in another — so live rows are summed over every
+    // view (DESIGN.md §15).
+    if (ctx.probes.TotalLiveRows(filter.tree.verts.First()) > 0) {
+      s.MarkSuccess(c);
+    }
   }
 
   // Algorithm 1: evaluate the next filter, then propagate its outcome
@@ -291,8 +286,6 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
     s.Apply(chosen, ok);
   }
 
-  counters->subtree_memo_hits += subtree_memo.hits();
-  counters->subtree_memo_lookups += subtree_memo.lookups();
   counters->elapsed_seconds += timer.ElapsedSeconds();
   return s.valid;
 }

@@ -39,8 +39,7 @@ std::vector<bool> SimplePrune::Verify(const VerifyContext& ctx,
   };
 
   std::vector<bool> valid(ctx.candidates.size(), false);
-  Executor::SubtreeMemo memo;
-  EvalEngine engine(ctx, counters, ctx.subtree_memo ? &memo : nullptr);
+  EvalEngine engine(ctx, counters);
   for (int q : order) {
     if (implied_failed(q)) {
       counters->pruned_without_verification += 1;
@@ -57,8 +56,6 @@ std::vector<bool> SimplePrune::Verify(const VerifyContext& ctx,
     valid[q] = ok;
   }
 
-  counters->subtree_memo_hits += memo.hits();
-  counters->subtree_memo_lookups += memo.lookups();
   counters->elapsed_seconds += timer.ElapsedSeconds();
   return valid;
 }

@@ -14,13 +14,12 @@
 #include "exec/executor.h"
 #include "obs/trace.h"
 #include "schema/schema_graph.h"
+#include "shard/shard_exec.h"
 #include "storage/database.h"
 #include "util/check.h"
 #include "util/deadline.h"
 
 namespace qbe {
-
-class ShardExecSet;
 
 /// Row orderings for the baseline verifiers (§4.1): as given, uniformly
 /// shuffled, or densest row first (candidates are likelier to fail on
@@ -149,7 +148,11 @@ class EvalCache : public EvalCacheBase {
 struct VerifyContext {
   const Database& db;
   const SchemaGraph& graph;
-  const Executor& exec;
+  /// Runs every existence query of the request over its pinned views (one
+  /// view unsharded; DESIGN.md §15), and owns the request's subtree memo
+  /// and match cache. Verifiers that consult row counts directly (e.g.
+  /// FILTER's trivial-success check) must count live rows through it.
+  const ShardExecSet& probes;
   const ExampleTable& et;
   const std::vector<CandidateQuery>& candidates;
   uint64_t seed = 42;
@@ -162,38 +165,18 @@ struct VerifyContext {
   /// set — callers must treat the run's output as void.
   const DeadlineToken* deadline = nullptr;
   /// Optional per-request ET-cell token ids (resolved once against the
-  /// database's TokenDict). When set, predicates are built with id vectors
-  /// and the executor skips all per-call token resolution.
+  /// one view's dictionary). When set, predicates are built with id
+  /// vectors and the executor skips all per-call token resolution.
   const EtTokenIds* et_ids = nullptr;
-  /// Shares reduced predicate-free join subtrees across the candidates of
-  /// this call (Executor::SubtreeMemo). Execution cost only: outcomes and
-  /// verification counts are identical on or off.
-  bool subtree_memo = true;
-  /// Optional per-request (column, phrase-ids) → row-set cache shared by
-  /// every existence query of the request (outcome-neutral; see
-  /// exec/match_cache.h).
-  MatchCache* match_cache = nullptr;
   /// Epoch of the pinned data version when verifying over a live database
   /// (DESIGN.md §12). 0 = the plain immutable database. Nonzero epochs
   /// prefix every eval-cache key so outcomes never leak across versions
   /// whose data differs.
   uint64_t data_epoch = 0;
-  /// Delta overlay of the pinned version (null = plain base). Verifiers
-  /// that consult row counts directly (e.g. FILTER's trivial-success check)
-  /// must count live rows through DbView(db, delta), not db alone.
-  const DeltaView* delta = nullptr;
   /// Optional request trace (obs/trace.h); EvalEngine records cache-lookup
   /// and execution spans into it. Observation-only — never changes
   /// outcomes or counters. Not owned.
   TraceContext* trace = nullptr;
-  /// Non-null in sharded mode (src/shard/, DESIGN.md §15): EvalEngine
-  /// routes each logical existence query through the shard set's
-  /// canonical-order scatter-gather probe instead of `exec`, charging the
-  /// counters once per logical query — outcomes and verification counts
-  /// stay bit-identical to the unsharded engine. Verifiers that consult
-  /// row counts directly must use the set's global TotalLiveRows. Not
-  /// owned.
-  ShardExecSet* shards = nullptr;
 };
 
 /// Counting wrapper around the executor: evaluates one filter / CQ-row
@@ -204,12 +187,8 @@ struct VerifyContext {
 /// answer from cache.
 class EvalEngine {
  public:
-  /// `memo` optionally shares reduced predicate-free join subtrees across
-  /// the evaluations of one request (see Executor::SubtreeMemo). Not
-  /// owned; may be null.
-  EvalEngine(const VerifyContext& ctx, VerificationCounters* counters,
-             Executor::SubtreeMemo* memo = nullptr)
-      : ctx_(ctx), counters_(counters), memo_(memo) {}
+  EvalEngine(const VerifyContext& ctx, VerificationCounters* counters)
+      : ctx_(ctx), counters_(counters) {}
 
   /// Evaluates `filter` (Definition 6). Returns true on success.
   bool EvaluateFilter(const Filter& filter);
@@ -224,7 +203,6 @@ class EvalEngine {
 
   const VerifyContext& ctx_;
   VerificationCounters* counters_;
-  Executor::SubtreeMemo* memo_ = nullptr;
   std::unordered_map<JoinTree, bool, JoinTreeHash> empty_join_cache_;
   /// Reused predicate buffer: one engine evaluates thousands of CQ-rows /
   /// filters, and rebuilding the vector each time was the dominant

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "shard/shard_exec.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -41,25 +40,13 @@ bool EvalEngine::Execute(const JoinTree& tree,
     return false;
   }
   // One *logical* existence query: charged to the counters exactly once
-  // regardless of how it runs. In sharded mode (DESIGN.md §15) the shard
-  // set answers it by probing shard-local executors in canonical order —
-  // FK co-location makes the OR over shards equal to the unsharded answer,
-  // so cached outcomes stay logical-level and interchangeable with
-  // unsharded entries.
+  // however many views the probe set asks (DESIGN.md §15), so cached
+  // outcomes stay logical-level and shared across shard counts.
   auto run_exec = [&]() {
     counters_->verifications += 1;
     counters_->estimated_cost += cost;
     ScopedSpan exec_span(ctx_.trace, SpanKind::kEvalExec);
-    if (ctx_.shards != nullptr) {
-      int shard = -1;
-      bool found = ctx_.shards->Exists(tree, predicates, ctx_.trace, &shard);
-      if (ctx_.trace != nullptr && shard >= 0) {
-        ctx_.trace->AnnotateShard(exec_span.ref(), shard);
-      }
-      return found;
-    }
-    return ctx_.exec.Exists(tree, predicates, memo_, ctx_.match_cache,
-                            ctx_.trace);
+    return ctx_.probes.Exists(tree, predicates, ctx_.trace, exec_span.ref());
   };
   if (ctx_.cache != nullptr) {
     std::string key = EvalCacheKey(ctx_.db, tree, predicates);
@@ -136,8 +123,7 @@ std::vector<bool> VerifyAll::Verify(const VerifyContext& ctx,
   int n = static_cast<int>(ctx.candidates.size());
   std::vector<bool> valid(ctx.candidates.size(), false);
 
-  Executor::SubtreeMemo memo;
-  EvalEngine engine(ctx, counters, ctx.subtree_memo ? &memo : nullptr);
+  EvalEngine engine(ctx, counters);
   // Each candidate stops at its first failing row.
   for (int q = 0; q < n; ++q) {
     valid[q] = true;
@@ -149,8 +135,6 @@ std::vector<bool> VerifyAll::Verify(const VerifyContext& ctx,
     }
   }
 
-  counters->subtree_memo_hits += memo.hits();
-  counters->subtree_memo_lookups += memo.lookups();
   counters->elapsed_seconds += timer.ElapsedSeconds();
   return valid;
 }

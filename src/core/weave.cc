@@ -39,7 +39,7 @@ std::vector<bool> TupleTreeWeave::Verify(const VerifyContext& ctx,
       counters->estimated_cost += query.tree.NumVertices();
       std::vector<int> order;
       std::vector<std::vector<uint32_t>> trees =
-          ctx.exec.MaterializeAssignments(
+          ctx.probes.executor(0).MaterializeAssignments(
               query.tree, RowPredicates(query, ctx.et, row), cap_, &order);
       if (trees.empty()) {
         // Candidate dies: release everything retained for it.

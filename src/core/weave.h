@@ -27,7 +27,8 @@ class JoinTreeWeave : public CandidateVerifier {
 /// matching joined tuple combinations (tuple trees) are materialized and
 /// retained in memory while the candidate is still alive — the behaviour
 /// whose footprint Figure 16 charts. `peak_memory_bytes` tracks the largest
-/// simultaneous materialization.
+/// simultaneous materialization. Materializes through the first view's
+/// executor, so it verifies one unsharded view only.
 class TupleTreeWeave : public CandidateVerifier {
  public:
   /// `per_query_row_cap` bounds the tuple trees materialized per

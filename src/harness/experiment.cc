@@ -106,11 +106,15 @@ ExperimentPoint RunPoint(const Bundle& bundle,
 
     std::vector<bool> reference;
     for (size_t a = 0; a < algos.size(); ++a) {
-      VerifyContext ctx{*bundle.db, *bundle.graph, *bundle.exec,
-                        et,         candidates,     seed};
+      // Fresh per-request state for every (ET, verifier) pair: memo on,
+      // match cache off (the probe set's defaults).
+      ShardExecSet probes(DbView(*bundle.db), *bundle.graph);
+      VerifyContext ctx{*bundle.db, *bundle.graph, probes,
+                        et,         candidates,    seed};
       std::unique_ptr<CandidateVerifier> algo = MakeAlgo(algos[a]);
       VerificationCounters counters;
       std::vector<bool> valid = algo->Verify(ctx, &counters);
+      probes.AddCacheCounters(&counters);
       if (a == 0) {
         reference = valid;
         int num_valid = 0;

@@ -7,7 +7,6 @@
 #include "kernels/kernels.h"
 #include "obs/prom.h"
 #include "obs/slow_log.h"
-#include "shard/coordinator.h"
 #include "shard/partition.h"
 #include "util/deadline.h"
 #include "util/hash64.h"
@@ -191,6 +190,25 @@ std::vector<Database> OneShard(Database db) {
   return shards;
 }
 
+/// The eval-cache namespace of one request's pinned versions: a lone
+/// shard's own epoch, else a deterministic digest of the per-shard epochs —
+/// 0 (the "pristine" namespace) iff every shard is pristine, else forced
+/// nonzero so mutated and pristine states never share cache entries.
+uint64_t CombinedEpoch(const std::vector<DbVersion>& versions) {
+  if (versions.size() == 1) return versions[0].epoch;
+  std::vector<uint64_t> epochs;
+  epochs.reserve(versions.size());
+  bool any_nonzero = false;
+  for (const DbVersion& version : versions) {
+    epochs.push_back(version.epoch);
+    any_nonzero = any_nonzero || version.epoch != 0;
+  }
+  if (!any_nonzero) return 0;
+  const uint64_t epoch =
+      Hash64(epochs.data(), epochs.size() * sizeof(uint64_t));
+  return epoch == 0 ? 1 : epoch;
+}
+
 /// Per-shard suffix for WAL/snapshot paths in sharded mode; unsharded
 /// deployments keep their paths verbatim.
 std::string ShardPath(const std::string& path, int shard, int num_shards) {
@@ -354,34 +372,14 @@ void DiscoveryService::Run(const std::shared_ptr<Request>& request) {
   versions.reserve(lives_.size());
   for (const auto& live : lives_) versions.push_back(live->Pin());
 
-  DiscoveryResult result;
+  std::vector<DbView> views;
+  views.reserve(versions.size());
+  for (const DbVersion& version : versions) views.push_back(version.view());
+  // Probe accounting is exported per shard only; a lone shard keeps none.
   ShardStats shard_stats;
-  if (num_shards() == 1) {
-    result = DiscoverQueries(versions[0].view(), request->et, options,
-                             versions[0].epoch);
-  } else {
-    // Combined cache epoch: a deterministic digest of the per-shard
-    // epochs — 0 (the "pristine" namespace) iff every shard is pristine,
-    // else forced nonzero so mutated and pristine states never share
-    // cache entries.
-    std::vector<uint64_t> epochs;
-    epochs.reserve(versions.size());
-    bool any_nonzero = false;
-    for (const DbVersion& version : versions) {
-      epochs.push_back(version.epoch);
-      any_nonzero = any_nonzero || version.epoch != 0;
-    }
-    uint64_t epoch = 0;
-    if (any_nonzero) {
-      epoch = Hash64(epochs.data(), epochs.size() * sizeof(uint64_t));
-      if (epoch == 0) epoch = 1;
-    }
-    std::vector<DbView> views;
-    views.reserve(versions.size());
-    for (const DbVersion& version : versions) views.push_back(version.view());
-    result = DiscoverQueriesSharded(views, request->et, options, epoch,
-                                    &shard_stats);
-  }
+  DiscoveryResult result =
+      DiscoverQueries(views, request->et, options, CombinedEpoch(versions),
+                      num_shards() > 1 ? &shard_stats : nullptr);
   if (trace != nullptr) trace->CloseSpan(request_span);
 
   ServiceResponse response;

@@ -143,11 +143,11 @@ class DiscoveryService {
 
   /// Sharded mode (DESIGN.md §15): one LiveDatabase per FK-co-located
   /// shard (from SplitDatabase or a shardset manifest; all sharing one
-  /// catalog). Requests pin every shard's epoch and run the deterministic
-  /// scatter-gather engine (DiscoverQueriesSharded) — results are
-  /// bit-identical to serving the unpartitioned data. Appends route
-  /// through RouteAppend so co-location survives ingestion. A one-element
-  /// vector behaves exactly like the unsharded constructor.
+  /// catalog). Requests pin every shard's epoch and run DiscoverQueries
+  /// over all the pinned views — results are bit-identical to serving the
+  /// unpartitioned data. Appends route through RouteAppend so co-location
+  /// survives ingestion. A one-element vector behaves exactly like the
+  /// unsharded constructor.
   DiscoveryService(std::vector<Database> shards, ServiceOptions options);
   ~DiscoveryService();
 

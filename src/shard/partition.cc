@@ -410,4 +410,69 @@ std::optional<ShardSet> ReadShardSet(const std::string& path,
   return set;
 }
 
+namespace {
+
+bool CatalogsMatch(const Database& a, const Database& b, std::string* why) {
+  auto fail = [&](const std::string& reason) {
+    *why = reason;
+    return false;
+  };
+  if (a.num_relations() != b.num_relations()) {
+    return fail("different relation counts");
+  }
+  for (int r = 0; r < a.num_relations(); ++r) {
+    const Relation& ra = a.relation(r);
+    const Relation& rb = b.relation(r);
+    if (ra.name() != rb.name()) {
+      return fail("relation " + std::to_string(r) + " named '" + ra.name() +
+                  "' vs '" + rb.name() + "'");
+    }
+    if (ra.num_columns() != rb.num_columns()) {
+      return fail("relation '" + ra.name() + "' has different column counts");
+    }
+    for (int c = 0; c < ra.num_columns(); ++c) {
+      if (ra.columns()[c].name != rb.columns()[c].name ||
+          ra.columns()[c].type != rb.columns()[c].type) {
+        return fail("relation '" + ra.name() + "' column " +
+                    std::to_string(c) + " differs");
+      }
+    }
+  }
+  if (a.foreign_keys().size() != b.foreign_keys().size()) {
+    return fail("different foreign-key counts");
+  }
+  for (size_t e = 0; e < a.foreign_keys().size(); ++e) {
+    const ForeignKey& fa = a.foreign_keys()[e];
+    const ForeignKey& fb = b.foreign_keys()[e];
+    if (fa.from_rel != fb.from_rel || fa.from_col != fb.from_col ||
+        fa.to_rel != fb.to_rel || fa.to_col != fb.to_col) {
+      return fail("foreign-key edge " + std::to_string(e) + " differs");
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+std::optional<std::vector<Database>> OpenShardSet(const ShardSet& set,
+                                                  std::string* error) {
+  auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
+    return std::nullopt;
+  };
+  if (set.paths.empty()) return fail("shardset names no shards");
+  std::vector<Database> shards;
+  shards.reserve(set.paths.size());
+  for (const std::string& path : set.paths) {
+    std::string why;
+    std::optional<Database> db = Database::OpenSnapshot(path, &why);
+    if (!db.has_value()) return fail(path + ": " + why);
+    if (!shards.empty() && !CatalogsMatch(shards[0], *db, &why)) {
+      return fail(path + ": catalog mismatch with shard 0 (" + why + ")");
+    }
+    shards.push_back(std::move(*db));
+  }
+  return shards;
+}
+
 }  // namespace qbe

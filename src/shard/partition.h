@@ -100,6 +100,14 @@ bool WriteShardSet(const std::string& path, const ShardSet& set,
 std::optional<ShardSet> ReadShardSet(const std::string& path,
                                      std::string* error);
 
+/// Opens every snapshot the manifest names, in manifest order. Returns
+/// nullopt with `*error` set when a snapshot fails to open or its catalog
+/// (relations, columns, FK edges) differs from the first shard's:
+/// discovery builds one schema graph for all shards, so mixed catalogs
+/// must never reach it.
+std::optional<std::vector<Database>> OpenShardSet(const ShardSet& set,
+                                                  std::string* error);
+
 }  // namespace qbe
 
 #endif  // QBE_SHARD_PARTITION_H_

@@ -1,14 +1,17 @@
 #include "shard/shard_exec.h"
 
+#include <algorithm>
 #include <chrono>
 
+#include "core/verifier.h"
 #include "util/check.h"
 
 namespace qbe {
 
-ShardExecSet::ShardExecSet(const std::vector<DbView>& views,
-                           const SchemaGraph& graph, const Options& options) {
-  QBE_CHECK_MSG(!views.empty(), "ShardExecSet needs at least one shard");
+ShardExecSet::ShardExecSet(std::span<const DbView> views,
+                           const SchemaGraph& graph,
+                           const ShardExecOptions& options) {
+  QBE_CHECK_MSG(!views.empty(), "ShardExecSet needs at least one view");
   shards_.reserve(views.size());
   for (const DbView& view : views) {
     shards_.push_back(std::make_unique<Shard>(view, graph, options));
@@ -17,8 +20,12 @@ ShardExecSet::ShardExecSet(const std::vector<DbView>& views,
 
 bool ShardExecSet::Exists(const JoinTree& tree,
                           const std::vector<PhrasePredicate>& predicates,
-                          TraceContext* trace, int* answered_by) const {
-  if (answered_by != nullptr) *answered_by = -1;
+                          TraceContext* trace, SpanRef span) const {
+  if (shards_.size() == 1) {
+    const Shard& shard = *shards_[0];
+    return shard.exec.Exists(tree, predicates, shard.memo.get(),
+                             shard.match_cache.get(), trace);
+  }
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     // A shard where some tree vertex has no live rows admits no witness;
@@ -43,7 +50,7 @@ bool ShardExecSet::Exists(const JoinTree& tree,
         std::memory_order_relaxed);
     if (found) {
       shard.hits.fetch_add(1, std::memory_order_relaxed);
-      if (answered_by != nullptr) *answered_by = static_cast<int>(s);
+      if (trace != nullptr) trace->AnnotateShard(span, static_cast<int>(s));
       return true;
     }
   }
@@ -58,9 +65,27 @@ uint64_t ShardExecSet::TotalLiveRows(int rel) const {
   return total;
 }
 
-std::vector<ShardExecSet::ShardCounters> ShardExecSet::Counters() const {
-  std::vector<ShardCounters> out;
-  out.reserve(shards_.size());
+void ShardExecSet::AddCacheCounters(VerificationCounters* counters) const {
+  for (const auto& shard : shards_) {
+    if (shard->memo != nullptr) {
+      counters->subtree_memo_hits += shard->memo->hits();
+      counters->subtree_memo_lookups += shard->memo->lookups();
+    }
+    if (shard->match_cache != nullptr) {
+      counters->match_cache_hits +=
+          static_cast<int64_t>(shard->match_cache->hits());
+      counters->match_cache_lookups +=
+          static_cast<int64_t>(shard->match_cache->lookups());
+    }
+  }
+}
+
+ShardStats ShardExecSet::Stats() const {
+  ShardStats stats;
+  stats.per_shard.reserve(shards_.size());
+  double max_busy = 0.0;
+  double sum_busy = 0.0;
+  int active = 0;
   for (const auto& shard : shards_) {
     ShardCounters c;
     c.probes = shard->probes.load(std::memory_order_relaxed);
@@ -69,18 +94,15 @@ std::vector<ShardExecSet::ShardCounters> ShardExecSet::Counters() const {
     c.busy_seconds =
         static_cast<double>(shard->busy_ns.load(std::memory_order_relaxed)) /
         1e9;
-    if (shard->memo != nullptr) {
-      c.subtree_memo_hits = shard->memo->hits();
-      c.subtree_memo_lookups = shard->memo->lookups();
-    }
-    if (shard->match_cache != nullptr) {
-      c.match_cache_hits = static_cast<int64_t>(shard->match_cache->hits());
-      c.match_cache_lookups =
-          static_cast<int64_t>(shard->match_cache->lookups());
-    }
-    out.push_back(c);
+    stats.per_shard.push_back(c);
+    if (c.probes == 0) continue;
+    max_busy = std::max(max_busy, c.busy_seconds);
+    sum_busy += c.busy_seconds;
+    ++active;
   }
-  return out;
+  const double mean_busy = active == 0 ? 0.0 : sum_busy / active;
+  stats.straggler_ratio = mean_busy > 0.0 ? max_busy / mean_busy : 1.0;
+  return stats;
 }
 
 }  // namespace qbe

@@ -49,7 +49,8 @@ TEST_F(CustIntegrationTest, AllAlgorithmsAgreeOnCustWorkload) {
     std::vector<CandidateQuery> candidates =
         GenerateCandidates(*db_, *graph_, et, {});
     if (candidates.empty()) continue;
-    VerifyContext ctx{*db_, *graph_, *exec_, et, candidates, 11};
+    ShardExecSet probes(DbView(*db_), *graph_);
+    VerifyContext ctx{*db_, *graph_, probes, et, candidates, 11};
     VerifyAll verify_all(RowOrder::kRandom);
     VerificationCounters c0;
     std::vector<bool> reference = verify_all.Verify(ctx, &c0);

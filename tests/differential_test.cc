@@ -65,7 +65,8 @@ std::pair<std::vector<bool>, VerificationCounters> RunEngine(
     const Workbench& wb, const ExampleTable& et,
     const std::vector<CandidateQuery>& cands, CandidateVerifier& algo,
     uint64_t seed) {
-  VerifyContext ctx{wb.db, wb.graph, wb.exec, et, cands, seed};
+  ShardExecSet probes(DbView(wb.db), wb.graph);
+  VerifyContext ctx{wb.db, wb.graph, probes, et, cands, seed};
   VerificationCounters counters;
   std::vector<bool> valid = algo.Verify(ctx, &counters);
   return {std::move(valid), counters};

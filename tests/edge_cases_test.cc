@@ -8,7 +8,6 @@
 #include "core/filter_verifier.h"
 #include "core/verify_all.h"
 #include "datagen/retailer.h"
-#include "exec/executor.h"
 #include "text/inverted_index.h"
 #include "text/tokenizer.h"
 
@@ -85,11 +84,11 @@ TEST(CandidateGenEdgeTest, MaxJoinTreeSizeOne) {
 TEST(CounterEdgeTest, EstimatedCostIsSumOfTreeSizes) {
   Database db = MakeRetailerDatabase();
   SchemaGraph graph(db);
-  Executor exec(db, graph);
+  ShardExecSet probes(DbView(db), graph);
   ExampleTable et = MakeFigure2ExampleTable();
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db, graph, et, {});
-  VerifyContext ctx{db, graph, exec, et, candidates, 1};
+  VerifyContext ctx{db, graph, probes, et, candidates, 1};
   VerifyAll verify_all(RowOrder::kGiven);
   VerificationCounters counters;
   verify_all.Verify(ctx, &counters);
@@ -101,7 +100,7 @@ TEST(CounterEdgeTest, EstimatedCostIsSumOfTreeSizes) {
 TEST(FilterVerifierEdgeTest, AllCandidatesInvalid) {
   Database db = MakeRetailerDatabase();
   SchemaGraph graph(db);
-  Executor exec(db, graph);
+  ShardExecSet probes(DbView(db), graph);
   // (Mike, Evernote): nobody named Mike bought/owns Evernote.
   ExampleTable et({"A", "B"});
   et.AddRow({"Mike", "Evernote"});
@@ -109,7 +108,7 @@ TEST(FilterVerifierEdgeTest, AllCandidatesInvalid) {
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db, graph, et, {});
   if (candidates.empty()) GTEST_SKIP();
-  VerifyContext ctx{db, graph, exec, et, candidates, 1};
+  VerifyContext ctx{db, graph, probes, et, candidates, 1};
   FilterVerifier filter;
   VerificationCounters counters;
   std::vector<bool> valid = filter.Verify(ctx, &counters);
@@ -121,13 +120,13 @@ TEST(FilterVerifierEdgeTest, AllCandidatesInvalid) {
 TEST(FilterVerifierEdgeTest, DeterministicAcrossRuns) {
   Database db = MakeRetailerDatabase();
   SchemaGraph graph(db);
-  Executor exec(db, graph);
+  ShardExecSet probes(DbView(db), graph);
   ExampleTable et = MakeFigure2ExampleTable();
   CandidateGenOptions gen;
   gen.max_join_tree_size = 5;
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db, graph, et, gen);
-  VerifyContext ctx{db, graph, exec, et, candidates, 1};
+  VerifyContext ctx{db, graph, probes, et, candidates, 1};
   FilterVerifier filter;
   VerificationCounters c1, c2;
   std::vector<bool> v1 = filter.Verify(ctx, &c1);

@@ -63,6 +63,21 @@ TEST_F(ExplainTest, UnmatchableColumnShowsNone) {
   EXPECT_NE(explain.ToString().find("(none)"), std::string::npos);
 }
 
+// An ET the discovery refuses (here a fully-empty column) gets the same
+// typed error from explain instead of reaching retrieval.
+TEST_F(ExplainTest, MalformedEtReturnsDiscoveryError) {
+  ExampleTable et = ExampleTable::WithColumns(2);
+  et.AddRow({"Mike", ""});
+  et.AddRow({"Mary", ""});
+  DiscoveryResult plain = DiscoverQueries(db_, et);
+  ASSERT_FALSE(plain.ok());
+  DiscoveryExplain explain = ExplainDiscovery(db_, et);
+  EXPECT_FALSE(explain.ok());
+  EXPECT_EQ(explain.error, plain.error);
+  EXPECT_TRUE(explain.et_columns.empty());
+  EXPECT_TRUE(explain.queries.empty());
+}
+
 TEST_F(ExplainTest, KeywordSearchSingleRow) {
   // m = 1: single-tuple keyword search (related-work mode).
   DiscoveryResult result = DiscoverByKeywords(db_, {"Mike", "ThinkPad"});

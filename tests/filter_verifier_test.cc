@@ -10,7 +10,6 @@
 #include "datagen/retailer.h"
 #include "exec/executor.h"
 #include "ingest/db_view.h"
-#include "shard/coordinator.h"
 #include "test_util.h"
 
 namespace qbe {
@@ -21,18 +20,18 @@ class FilterVerifierTest : public ::testing::Test {
   FilterVerifierTest()
       : db_(MakeRetailerDatabase()),
         graph_(db_),
-        exec_(db_, graph_),
+        probes_(DbView(db_), graph_),
         et_(MakeFigure2ExampleTable()) {
     candidates_ = GenerateCandidates(db_, graph_, et_, {});
   }
 
   VerifyContext Ctx() {
-    return VerifyContext{db_, graph_, exec_, et_, candidates_, 42};
+    return VerifyContext{db_, graph_, probes_, et_, candidates_, 42};
   }
 
   Database db_;
   SchemaGraph graph_;
-  Executor exec_;
+  ShardExecSet probes_;
   ExampleTable et_;
   std::vector<CandidateQuery> candidates_;
 };
@@ -67,7 +66,7 @@ TEST_F(FilterVerifierTest, RobustToFailurePrior) {
 
 TEST_F(FilterVerifierTest, HandlesEmptyCandidateSet) {
   std::vector<CandidateQuery> none;
-  VerifyContext ctx{db_, graph_, exec_, et_, none, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, none, 42};
   FilterVerifier filter;
   VerificationCounters counters;
   EXPECT_TRUE(filter.Verify(ctx, &counters).empty());
@@ -86,7 +85,7 @@ TEST_F(FilterVerifierTest, SingleValidCandidateEvaluatesBasicFilters) {
     }
   }
   ASSERT_EQ(only_cq1.size(), 1u);
-  VerifyContext ctx{db_, graph_, exec_, et_, only_cq1, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, only_cq1, 42};
   FilterVerifier filter;
   VerificationCounters counters;
   std::vector<bool> valid = filter.Verify(ctx, &counters);
@@ -104,7 +103,7 @@ TEST_F(FilterVerifierTest, SharedFilterPruningBeatsPerCandidateWork) {
   std::vector<CandidateQuery> many =
       GenerateCandidates(db_, graph_, et_, options);
   ASSERT_GT(many.size(), 10u);
-  VerifyContext ctx{db_, graph_, exec_, et_, many, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, many, 42};
   VerifyAll reference;
   FilterVerifier filter;
   VerificationCounters c_ref, c_filter;
@@ -122,7 +121,7 @@ TEST_F(FilterVerifierTest, LazyAndExactEvaluateSameNumberOfFilters) {
   options.max_join_tree_size = 5;
   std::vector<CandidateQuery> many =
       GenerateCandidates(db_, graph_, et_, options);
-  VerifyContext ctx{db_, graph_, exec_, et_, many, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, many, 42};
   FilterVerifier exact(0.5, false);
   FilterVerifier lazy(0.5, true);
   VerificationCounters c_exact, c_lazy;
@@ -174,7 +173,8 @@ TEST_F(FilterVerifierDeadlineTest, ExpiredDeadlineStopsPlanningOnHeavyCustEt) {
   EXPECT_TRUE(universe.stopped_early);
   EXPECT_EQ(universe.num_filters(), 0);
 
-  VerifyContext ctx{db_, graph_, exec_, et_, candidates, 42};
+  ShardExecSet probes(DbView(db_), graph_);
+  VerifyContext ctx{db_, graph_, probes, et_, candidates, 42};
   ctx.deadline = &expired_;
   for (bool lazy : {true, false}) {
     FilterVerifier filter(0.1, lazy);
@@ -207,11 +207,11 @@ TEST_F(FilterVerifierDeadlineTest, ExpiredDeadlineStopsCandidateEnumeration) {
 
   DiscoveryOptions options;
   options.deadline = &expired_;
-  for (bool sharded : {false, true}) {
-    DiscoveryResult result =
-        sharded ? DiscoverQueriesSharded({DbView(db_)}, et_, options)
-                : DiscoverQueries(db_, et_, options);
-    EXPECT_TRUE(result.timed_out) << "sharded=" << sharded;
+  // One view and two: the same pipeline must stop at any view count.
+  for (size_t num_views : {1, 2}) {
+    const std::vector<DbView> views(num_views, DbView(db_));
+    DiscoveryResult result = DiscoverQueries(views, et_, options, 0);
+    EXPECT_TRUE(result.timed_out) << "views=" << num_views;
     EXPECT_EQ(result.counters.verifications, 0);
     EXPECT_TRUE(result.queries.empty());
   }

@@ -63,7 +63,8 @@ TEST_P(AgreementTest, AllAlgorithmsComputeTheSameValidSet) {
     std::vector<CandidateQuery> candidates =
         GenerateCandidates(wb.db, wb.graph, et, {});
     if (candidates.empty()) continue;
-    VerifyContext ctx{wb.db, wb.graph, wb.exec, et, candidates, seed};
+    ShardExecSet probes(DbView(wb.db), wb.graph);
+    VerifyContext ctx{wb.db, wb.graph, probes, et, candidates, seed};
 
     VerifyAll verify_all(RowOrder::kDenseFirst);
     VerificationCounters c0;
@@ -162,7 +163,8 @@ TEST_P(Corollary1Test, ValidQueriesSatisfyColumnConstraints) {
   for (const ExampleTable& et : RandomEts(wb, seed + 300, 3)) {
     std::vector<CandidateQuery> candidates =
         GenerateCandidates(wb.db, wb.graph, et, {});
-    VerifyContext ctx{wb.db, wb.graph, wb.exec, et, candidates, seed};
+    ShardExecSet probes(DbView(wb.db), wb.graph);
+    VerifyContext ctx{wb.db, wb.graph, probes, et, candidates, seed};
     VerifyAll verify_all;
     VerificationCounters counters;
     std::vector<bool> valid = verify_all.Verify(ctx, &counters);
@@ -306,7 +308,8 @@ size_t ExpectAllVerifiersAgree(Workbench& wb, const ExampleTable& et,
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(wb.db, wb.graph, et, {});
   if (candidates.empty()) return 0;
-  VerifyContext ctx{wb.db, wb.graph, wb.exec, et, candidates, seed};
+  ShardExecSet probes(DbView(wb.db), wb.graph);
+  VerifyContext ctx{wb.db, wb.graph, probes, et, candidates, seed};
 
   VerifyAll verify_all(RowOrder::kDenseFirst);
   VerificationCounters c0;

@@ -1,18 +1,21 @@
-// Sharded-engine differential suite (DESIGN.md §15): DiscoverQueriesSharded
-// must be bit-identical to unsharded DiscoverQueries — same SQL set in the
-// same order, exact-double scores, matched-row counts, candidate counts,
-// and the logical verification counters (verifications / estimated_cost /
+// Sharded-engine differential suite (DESIGN.md §15): DiscoverQueries over
+// the shard views of a partition must be bit-identical to DiscoverQueries
+// over the one unpartitioned view — same SQL set in the same order,
+// exact-double scores, matched-row counts, candidate counts, and the
+// logical verification counters (verifications / estimated_cost /
 // pruned_without_verification are charged once per logical existence query
 // regardless of how many shard probes answer it).
 //
 // 12 seeded decomposable databases × 9 random ETs = 108 instances, each
-// checked at shards {1, 2, 4} under both partition modes,
-// plus algorithm-coverage (VERIFYALL / SIMPLEPRUNE / relaxed support) and a
-// degenerate single-component retailer instance. Run under TSan and ASan by
-// the sanitizer CI legs.
+// checked at shards {1, 2, 4} under both partition modes with FILTER and
+// with WEAVE, plus algorithm coverage (VERIFYALL / SIMPLEPRUNE / FILTER's
+// exact variant / WEAVE / relaxed support), per-shard probe accounting and
+// a degenerate single-component retailer instance. Run under TSan and ASan
+// by the sanitizer CI legs.
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,8 +25,8 @@
 #include "exec/executor.h"
 #include "ingest/db_view.h"
 #include "schema/schema_graph.h"
-#include "shard/coordinator.h"
 #include "shard/partition.h"
+#include "shard/shard_exec.h"
 #include "shard_test_util.h"
 
 namespace qbe {
@@ -106,8 +109,9 @@ void ExpectBitIdentical(const DiscoveryResult& reference,
 
 class ShardDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-// The acceptance matrix: shards {1,2,4}, both partition modes, default
-// (FILTER) algorithm.
+// The acceptance matrix: shards {1,2,4}, both partition modes, the default
+// (FILTER) algorithm and WEAVE, which asks its existence queries through
+// the same probe set as every other verifier.
 TEST_P(ShardDifferentialTest, MatchesUnshardedAcrossShardCounts) {
   const uint64_t seed = GetParam();
   ShardWorkbench wb(seed);
@@ -138,19 +142,26 @@ TEST_P(ShardDifferentialTest, MatchesUnshardedAcrossShardCounts) {
   int instances = 0;
   for (const ExampleTable& et : RandomEts(wb, seed + 1000)) {
     ++instances;
-    DiscoveryResult reference = DiscoverQueries(wb.db, et);
-    for (const auto& [label, sharding] : shardings) {
-      DiscoveryResult sharded = DiscoverQueriesSharded(sharding.views, et, {});
-      ExpectBitIdentical(reference, sharded,
-                         "seed " + std::to_string(seed) + " instance " +
-                             std::to_string(instances) + " " + label);
+    for (Algorithm algorithm : {Algorithm::kFilter, Algorithm::kWeave}) {
+      DiscoveryOptions options;
+      options.algorithm = algorithm;
+      DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
+      for (const auto& [label, sharding] : shardings) {
+        DiscoveryResult sharded =
+            DiscoverQueries(sharding.views, et, options, 0);
+        ExpectBitIdentical(reference, sharded,
+                           "seed " + std::to_string(seed) + " instance " +
+                               std::to_string(instances) + " algorithm " +
+                               std::to_string(static_cast<int>(algorithm)) +
+                               " " + label);
+      }
     }
   }
   EXPECT_EQ(instances, kEtsPerSeed);
 }
 
 // Algorithm coverage: the scatter-gather seam sits below every verifier, so
-// VERIFYALL and SIMPLEPRUNE (and FILTER's exact variant) must also merge
+// VERIFYALL, SIMPLEPRUNE, FILTER's exact variant and WEAVE must also merge
 // bit-identically.
 TEST_P(ShardDifferentialTest, AllVerifiersAgreeSharded) {
   const uint64_t seed = GetParam();
@@ -161,12 +172,12 @@ TEST_P(ShardDifferentialTest, AllVerifiersAgreeSharded) {
   for (const ExampleTable& et : RandomEts(wb, seed + 3000)) {
     for (Algorithm algorithm :
          {Algorithm::kVerifyAll, Algorithm::kSimplePrune,
-          Algorithm::kFilterExact}) {
+          Algorithm::kFilterExact, Algorithm::kWeave}) {
       DiscoveryOptions options;
       options.algorithm = algorithm;
       DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
       DiscoveryResult sharded =
-          DiscoverQueriesSharded(sharding.views, et, options);
+          DiscoverQueries(sharding.views, et, options, 0);
       ExpectBitIdentical(reference, sharded,
                          "seed " + std::to_string(seed) + " algorithm " +
                              std::to_string(static_cast<int>(algorithm)));
@@ -187,7 +198,7 @@ TEST_P(ShardDifferentialTest, RelaxedSupportMatchesUnsharded) {
     options.min_row_support = 2;
     DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
     DiscoveryResult sharded =
-        DiscoverQueriesSharded(sharding.views, et, options);
+        DiscoverQueries(sharding.views, et, options, 0);
     ExpectBitIdentical(reference, sharded,
                        "relaxed seed " + std::to_string(seed));
   }
@@ -228,58 +239,41 @@ TEST(ShardDifferentialDegenerateTest, SingleComponentDatabaseStillMatches) {
 
   for (const ExampleTable& et : source.SampleMany(params, 4, 4242)) {
     DiscoveryResult reference = DiscoverQueries(db, et);
-    DiscoveryResult sharded = DiscoverQueriesSharded(sharding.views, et, {});
+    DiscoveryResult sharded = DiscoverQueries(sharding.views, et, {}, 0);
     ExpectBitIdentical(reference, sharded, "degenerate");
   }
 }
 
-// WEAVE materializes tuple trees directly — no scatter-gather form; the
-// sharded engine must refuse rather than silently under-report.
-TEST(ShardDifferentialDegenerateTest, WeaveIsRejected) {
-  ShardWorkbench wb(1);
-  Sharding sharding = Shard(wb.db, 2, PartitionMode::kHashPk);
-  for (const ExampleTable& et : RandomEts(wb, 5000)) {
-    DiscoveryOptions options;
-    options.algorithm = Algorithm::kWeave;
-    DiscoveryResult result = DiscoverQueriesSharded(sharding.views, et, options);
-    EXPECT_FALSE(result.ok());
-    EXPECT_NE(result.error.find("WEAVE"), std::string::npos) << result.error;
-    break;  // one ET suffices; the gate is input-independent
-  }
-}
-
-// The owning coordinator wrapper produces the same results as calling the
-// free function over caller-held views, and reports shard stats.
-TEST(ShardCoordinatorTest, DiscoverMatchesFreeFunctionAndFillsStats) {
+// Per-shard probe accounting: a multi-view request counts every probe per
+// shard, while a one-view request runs none of that per-probe work.
+TEST(ShardStatsTest, CountsProbesPerShardOnlyForSeveralViews) {
   ShardWorkbench wb(3);
-  PartitionOptions poptions;
-  poptions.num_shards = 4;
-  poptions.mode = PartitionMode::kHashPk;
-  poptions.seed = 3;
-  ShardCoordinator coordinator(
-      SplitDatabase(wb.db, ComputePartitionPlan(wb.db, poptions)));
-  ASSERT_EQ(coordinator.num_shards(), 4);
-
   Sharding sharding = Shard(wb.db, 4, PartitionMode::kHashPk, 3);
+  const DbView whole(wb.db);
   for (const ExampleTable& et : RandomEts(wb, 6000)) {
     DiscoveryOptions options;
     ShardStats stats;
-    DiscoveryResult via_coordinator = coordinator.Discover(et, options, &stats);
-    DiscoveryResult via_views = DiscoverQueriesSharded(sharding.views, et,
-                                                       options);
-    ExpectBitIdentical(via_views, via_coordinator, "coordinator");
+    DiscoveryResult sharded =
+        DiscoverQueries(sharding.views, et, options, 0, &stats);
+    ShardStats one_view_stats;
+    DiscoveryResult one_view = DiscoverQueries(
+        std::span<const DbView>(&whole, 1), et, options, 0, &one_view_stats);
+    ExpectBitIdentical(one_view, sharded, "stats");
 
     ASSERT_EQ(stats.per_shard.size(), 4u);
-    if (via_coordinator.counters.verifications > 0) {
+    ASSERT_EQ(one_view_stats.per_shard.size(), 1u);
+    EXPECT_EQ(one_view_stats.per_shard[0].probes, 0);
+    EXPECT_EQ(one_view_stats.straggler_ratio, 1.0);
+    if (sharded.counters.verifications > 0) {
       int64_t probes = 0;
       for (const auto& shard : stats.per_shard) probes += shard.probes;
       // Short-circuit scatter-gather: at least one probe per logical eval,
       // at most num_shards.
-      EXPECT_GE(probes, via_coordinator.counters.verifications);
-      EXPECT_LE(probes, via_coordinator.counters.verifications * 4);
+      EXPECT_GE(probes, sharded.counters.verifications);
+      EXPECT_LE(probes, sharded.counters.verifications * 4);
       EXPECT_GE(stats.straggler_ratio, 1.0);
     }
-    break;  // one ET exercises the wrapper; identity is covered above
+    break;  // one ET exercises the accounting; identity is covered above
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "ingest/db_view.h"
 #include "ingest/live_db.h"
 #include "shard/partition.h"
+#include "snapshot/snapshot.h"
 #include "shard_test_util.h"
 
 namespace qbe {
@@ -356,6 +358,37 @@ TEST(ShardSetTest, ManifestRoundTripsAndResolvesRelativePaths) {
   std::fclose(f);
   EXPECT_FALSE(ReadShardSet(path, &error).has_value());
   EXPECT_NE(error.find("qbe-shardset-v1"), std::string::npos);
+}
+
+// A manifest naming shards of two different databases is refused with a
+// typed error before any shard reaches discovery.
+TEST(ShardSetTest, OpenRefusesShardsWithDifferentCatalogs) {
+  const std::string dir = ::testing::TempDir();
+  std::string error;
+  const Database retailer = MakeRetailerDatabase();
+  const Database shardable = MakeShardableDatabase(20, 2, 2, 1);
+  ASSERT_TRUE(WriteSnapshot(retailer, dir + "/mixed_a.qbes", &error)) << error;
+  ASSERT_TRUE(WriteSnapshot(shardable, dir + "/mixed_b.qbes", &error))
+      << error;
+
+  ShardSet matching;
+  matching.paths = {dir + "/mixed_a.qbes", dir + "/mixed_a.qbes"};
+  std::optional<std::vector<Database>> opened =
+      OpenShardSet(matching, &error);
+  ASSERT_TRUE(opened.has_value()) << error;
+  EXPECT_EQ(opened->size(), 2u);
+
+  ShardSet mixed;
+  mixed.paths = {dir + "/mixed_a.qbes", dir + "/mixed_b.qbes"};
+  error.clear();
+  EXPECT_FALSE(OpenShardSet(mixed, &error).has_value());
+  EXPECT_NE(error.find("catalog mismatch"), std::string::npos) << error;
+  EXPECT_NE(error.find("mixed_b.qbes"), std::string::npos) << error;
+
+  ShardSet missing;
+  missing.paths = {dir + "/mixed_a.qbes", dir + "/absent.qbes"};
+  EXPECT_FALSE(OpenShardSet(missing, &error).has_value());
+  EXPECT_NE(error.find("absent.qbes"), std::string::npos) << error;
 }
 
 TEST(PartitionModeTest, NamesRoundTrip) {

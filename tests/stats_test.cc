@@ -7,7 +7,6 @@
 #include "core/filter_verifier.h"
 #include "core/verify_all.h"
 #include "datagen/retailer.h"
-#include "exec/executor.h"
 #include "test_util.h"
 #include "text/tokenizer.h"
 
@@ -19,12 +18,12 @@ class StatsTest : public ::testing::Test {
   StatsTest()
       : db_(MakeRetailerDatabase()),
         graph_(db_),
-        exec_(db_, graph_),
+        probes_(DbView(db_), graph_),
         stats_(db_) {}
 
   Database db_;
   SchemaGraph graph_;
-  Executor exec_;
+  ShardExecSet probes_;
   Statistics stats_;
 };
 
@@ -82,7 +81,7 @@ TEST_F(StatsTest, EstimatedCostModelAgreesOnValidSet) {
   gen.max_join_tree_size = 5;
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db_, graph_, et, gen);
-  VerifyContext ctx{db_, graph_, exec_, et, candidates, 1};
+  VerifyContext ctx{db_, graph_, probes_, et, candidates, 1};
   VerifyAll reference;
   VerificationCounters c0;
   std::vector<bool> expected = reference.Verify(ctx, &c0);
@@ -100,7 +99,7 @@ TEST_F(StatsTest, ExecuteAllAgreesAndChargesOutputSize) {
   ExampleTable et = MakeFigure2ExampleTable();
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db_, graph_, et, {});
-  VerifyContext ctx{db_, graph_, exec_, et, candidates, 1};
+  VerifyContext ctx{db_, graph_, probes_, et, candidates, 1};
   VerifyAll reference;
   VerificationCounters c0;
   std::vector<bool> expected = reference.Verify(ctx, &c0);
@@ -120,7 +119,7 @@ TEST_F(StatsTest, ExecuteAllFallbackUnderTinyCap) {
   ExampleTable et = MakeFigure2ExampleTable();
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db_, graph_, et, {});
-  VerifyContext ctx{db_, graph_, exec_, et, candidates, 1};
+  VerifyContext ctx{db_, graph_, probes_, et, candidates, 1};
   VerifyAll reference;
   VerificationCounters c0;
   std::vector<bool> expected = reference.Verify(ctx, &c0);
@@ -135,7 +134,7 @@ TEST_F(StatsTest, ExecuteAllWithExactCells) {
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db_, graph_, et, {});
   if (candidates.empty()) GTEST_SKIP();
-  VerifyContext ctx{db_, graph_, exec_, et, candidates, 1};
+  VerifyContext ctx{db_, graph_, probes_, et, candidates, 1};
   ExecuteAll execute_all;
   VerificationCounters c;
   for (bool v : execute_all.Verify(ctx, &c)) EXPECT_FALSE(v);

@@ -28,7 +28,6 @@
 #include "obs/slow_log.h"
 #include "service/discovery_service.h"
 #include "service/metrics.h"
-#include "shard/coordinator.h"
 #include "shard/partition.h"
 
 namespace qbe {
@@ -354,31 +353,39 @@ TEST(TraceDiscoveryTest, SampledRequestCoversAllPhases) {
   EXPECT_EQ(stitched.dropped_spans, 0);
 }
 
-// The same nesting holds when each evaluation is a scatter-gather probe
-// over shards.
+// The same nesting holds over one view and over two shards, where each
+// evaluation is a scatter-gather probe. Only the multi-view request counts
+// shard probes.
 TEST(TraceDiscoveryTest, ShardedRequestNestsEvalSpansUnderFilter) {
   Database db = MakeRetailerDatabase();
-  PartitionOptions partition;
-  partition.num_shards = 2;
-  std::vector<Database> shards =
-      SplitDatabase(db, ComputePartitionPlan(db, partition));
-  std::vector<DbView> views(shards.begin(), shards.end());
-  EvalCache cache;
-  TraceContext trace;
-  DiscoveryOptions options;
-  options.cache = &cache;
-  options.trace = &trace;
-  DiscoveryResult result =
-      DiscoverQueriesSharded(views, MakeFigure2ExampleTable(), options);
-  ASSERT_TRUE(result.ok()) << result.error;
+  for (int num_shards : {1, 2}) {
+    PartitionOptions partition;
+    partition.num_shards = num_shards;
+    std::vector<Database> shards =
+        SplitDatabase(db, ComputePartitionPlan(db, partition));
+    std::vector<DbView> views(shards.begin(), shards.end());
+    EvalCache cache;
+    TraceContext trace;
+    DiscoveryOptions options;
+    options.cache = &cache;
+    options.trace = &trace;
+    DiscoveryResult result =
+        DiscoverQueries(views, MakeFigure2ExampleTable(), options, 0);
+    ASSERT_TRUE(result.ok()) << result.error;
 
-  Trace stitched = trace.Stitch();
-  std::string why;
-  EXPECT_TRUE(stitched.WellFormed(&why)) << why;
-  EXPECT_EQ(stitched.PhaseCount(SpanKind::kFilter), 1u);
-  EXPECT_GE(stitched.PhaseCount(SpanKind::kEvalCacheLookup), 1u);
-  EXPECT_GE(stitched.PhaseCount(SpanKind::kEvalExec), 1u);
-  ExpectEvalSpansNestUnderFilter(stitched);
+    Trace stitched = trace.Stitch();
+    std::string why;
+    EXPECT_TRUE(stitched.WellFormed(&why)) << why;
+    EXPECT_EQ(stitched.PhaseCount(SpanKind::kFilter), 1u);
+    EXPECT_GE(stitched.PhaseCount(SpanKind::kEvalCacheLookup), 1u);
+    EXPECT_GE(stitched.PhaseCount(SpanKind::kEvalExec), 1u);
+    ExpectEvalSpansNestUnderFilter(stitched);
+    if (num_shards == 1) {
+      EXPECT_EQ(stitched.counter(TraceCounter::kShardProbes), 0);
+    } else {
+      EXPECT_GT(stitched.counter(TraceCounter::kShardProbes), 0);
+    }
+  }
 }
 
 TEST(TraceDiscoveryTest, TracingDoesNotChangeOutcomes) {

@@ -6,7 +6,6 @@
 #include "core/simple_prune.h"
 #include "core/verify_all.h"
 #include "datagen/retailer.h"
-#include "exec/executor.h"
 #include "test_util.h"
 
 namespace qbe {
@@ -17,13 +16,13 @@ class VerifierTest : public ::testing::Test {
   VerifierTest()
       : db_(MakeRetailerDatabase()),
         graph_(db_),
-        exec_(db_, graph_),
+        probes_(DbView(db_), graph_),
         et_(MakeFigure2ExampleTable()) {
     candidates_ = GenerateCandidates(db_, graph_, et_, {});
   }
 
   VerifyContext Ctx() {
-    return VerifyContext{db_, graph_, exec_, et_, candidates_, 42};
+    return VerifyContext{db_, graph_, probes_, et_, candidates_, 42};
   }
 
   int ValidCount(const std::vector<bool>& valid) {
@@ -34,7 +33,7 @@ class VerifierTest : public ::testing::Test {
 
   Database db_;
   SchemaGraph graph_;
-  Executor exec_;
+  ShardExecSet probes_;
   ExampleTable et_;
   std::vector<CandidateQuery> candidates_;
 };
@@ -123,7 +122,7 @@ TEST_F(VerifierTest, SimplePrunePrunesViaFailureDependency) {
   pair.push_back(big);    // order in the vector must not matter:
   pair.push_back(small);  // SimplePrune sorts by tree size itself.
 
-  VerifyContext ctx{db_, graph_, exec_, et_, pair, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, pair, 42};
   VerificationCounters prune_counters, all_counters;
   SimplePrune simple_prune;
   VerifyAll verify_all;

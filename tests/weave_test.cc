@@ -5,7 +5,6 @@
 #include "core/candidate_gen.h"
 #include "core/verify_all.h"
 #include "datagen/retailer.h"
-#include "exec/executor.h"
 #include "test_util.h"
 
 namespace qbe {
@@ -16,18 +15,18 @@ class WeaveTest : public ::testing::Test {
   WeaveTest()
       : db_(MakeRetailerDatabase()),
         graph_(db_),
-        exec_(db_, graph_),
+        probes_(DbView(db_), graph_),
         et_(MakeFigure2ExampleTable()) {
     candidates_ = GenerateCandidates(db_, graph_, et_, {});
   }
 
   VerifyContext Ctx() {
-    return VerifyContext{db_, graph_, exec_, et_, candidates_, 42};
+    return VerifyContext{db_, graph_, probes_, et_, candidates_, 42};
   }
 
   Database db_;
   SchemaGraph graph_;
-  Executor exec_;
+  ShardExecSet probes_;
   ExampleTable et_;
   std::vector<CandidateQuery> candidates_;
 };
@@ -74,7 +73,7 @@ TEST_F(WeaveTest, TupleTreeWeaveMemoryGrowsWithData) {
   Database big = MakeScaledRetailerDatabase(50, 50, 20, 20, 400, 400, 100,
                                             777);
   SchemaGraph graph(big);
-  Executor exec(big, graph);
+  ShardExecSet probes(DbView(big), graph);
   ExampleTable et({"A", "B"});
   // A sparse, low-selectivity ET: common first names.
   et.AddRow({"Mike", ""});
@@ -82,7 +81,7 @@ TEST_F(WeaveTest, TupleTreeWeaveMemoryGrowsWithData) {
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(big, graph, et, {});
   if (candidates.empty()) GTEST_SKIP() << "no candidates for this seed";
-  VerifyContext ctx{big, graph, exec, et, candidates, 42};
+  VerifyContext ctx{big, graph, probes, et, candidates, 42};
   TupleTreeWeave weave;
   VerificationCounters counters;
   weave.Verify(ctx, &counters);
@@ -94,7 +93,7 @@ TEST_F(WeaveTest, TupleTreeWeaveMemoryGrowsWithData) {
 
 TEST_F(WeaveTest, EmptyCandidates) {
   std::vector<CandidateQuery> none;
-  VerifyContext ctx{db_, graph_, exec_, et_, none, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, none, 42};
   JoinTreeWeave weave;
   VerificationCounters counters;
   EXPECT_TRUE(weave.Verify(ctx, &counters).empty());

@@ -131,8 +131,12 @@ int main(int argc, char** argv) {
   }
 
   if (explain) {
-    std::printf("%s", qbe::ExplainDiscovery(*db, et, options).ToString()
-                          .c_str());
+    qbe::DiscoveryExplain report = qbe::ExplainDiscovery(*db, et, options);
+    if (!report.ok()) {
+      std::fprintf(stderr, "error: %s\n", report.error.c_str());
+      return 1;
+    }
+    std::printf("%s", report.ToString().c_str());
     return 0;
   }
   qbe::DiscoveryResult result = qbe::DiscoverQueries(*db, et, options);

@@ -213,16 +213,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "qbe_serve: %s\n", shard_error.c_str());
       return 1;
     }
-    for (const std::string& path : set->paths) {
-      std::optional<qbe::Database> shard =
-          qbe::Database::OpenSnapshot(path, &shard_error);
-      if (!shard.has_value()) {
-        std::fprintf(stderr, "qbe_serve: %s: %s\n", path.c_str(),
-                     shard_error.c_str());
-        return 1;
-      }
-      shard_dbs.push_back(std::move(*shard));
+    std::optional<std::vector<qbe::Database>> opened_shards =
+        qbe::OpenShardSet(*set, &shard_error);
+    if (!opened_shards.has_value()) {
+      std::fprintf(stderr, "qbe_serve: %s\n", shard_error.c_str());
+      return 1;
     }
+    shard_dbs = std::move(*opened_shards);
     service_options.shard_seed = set->seed;
     std::printf("shardset %s: %d shards (%s)\n", args.shardset_path.c_str(),
                 set->num_shards(), qbe::PartitionModeName(set->mode));
