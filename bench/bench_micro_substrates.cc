@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the substrates behind the query
 // discovery system: tokenizer, FTS index build/probe, master column index,
-// the semijoin executor, subtree enumeration, candidate generation,
+// the semijoin executor, the join-tree catalog, candidate generation,
 // filter-universe construction and whole FILTER runs. These quantify the
 // paper's claim that candidate generation is "a negligible fraction of the
 // overall query processing time" relative to verification.
@@ -22,7 +22,7 @@
 #include "exec/executor.h"
 #include "exec/match_cache.h"
 #include "kernels/kernels.h"
-#include "schema/subtree_enum.h"
+#include "schema/join_tree_catalog.h"
 #include "text/tokenizer.h"
 
 namespace qbe {
@@ -177,14 +177,35 @@ void BM_ExecutorExistsCached(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorExistsCached);
 
-void BM_SubtreeEnumeration(benchmark::State& state) {
+// Once per schema and l: every join tree of at most l relations, with its
+// extensions and subtree lists.
+void BM_JoinTreeCatalogBuild(benchmark::State& state) {
   const SchemaGraph& graph = ImdbGraph();
-  int max_size = static_cast<int>(state.range(0));
+  const int max_size = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EnumerateSubtrees(graph, max_size));
+    JoinTreeCatalog catalog(graph, max_size);
+    benchmark::DoNotOptimize(catalog);
+    state.counters["trees"] = catalog.size();
   }
 }
-BENCHMARK(BM_SubtreeEnumeration)->Arg(3)->Arg(4)->Arg(5);
+BENCHMARK(BM_JoinTreeCatalogBuild)->Arg(3)->Arg(4)->Arg(5);
+
+// Once per request: the walk candidate enumeration takes from the
+// relations hosting the ET's candidate columns.
+void BM_JoinTreeCatalogWalk(benchmark::State& state) {
+  const JoinTreeCatalog& catalog =
+      ImdbGraph().catalog(static_cast<int>(state.range(0)));
+  RelationSet hosting;
+  for (const auto& cols : RetrieveCandidateColumns(ImdbDb(), NameTitleEt())) {
+    for (const ColumnRef& col : cols) hosting.Set(col.rel);
+  }
+  for (auto _ : state) {
+    std::vector<int> walk = catalog.Walk(hosting);
+    benchmark::DoNotOptimize(walk);
+    state.counters["trees"] = static_cast<double>(walk.size());
+  }
+}
+BENCHMARK(BM_JoinTreeCatalogWalk)->Arg(3)->Arg(4)->Arg(5);
 
 void BM_CandidateGeneration(benchmark::State& state) {
   const Database& db = ImdbDb();

@@ -6,7 +6,7 @@
 
 #include "ingest/db_view.h"
 #include "kernels/kernels.h"
-#include "schema/subtree_enum.h"
+#include "schema/join_tree_catalog.h"
 #include "util/check.h"
 
 namespace qbe {
@@ -122,22 +122,23 @@ std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
 namespace {
 
 /// Recursively assigns ET columns to candidate columns within the tree,
-/// emitting every minimal assignment.
-void AssignColumns(const Database& db, const SchemaGraph& graph,
-                   const JoinTree& tree,
+/// emitting every minimal assignment: one mapping a column to each of the
+/// tree's leaves.
+void AssignColumns(const JoinTree& tree, const RelationSet& leaves,
                    const std::vector<std::vector<ColumnRef>>& options,
                    size_t max_candidates, size_t column,
                    std::vector<ColumnRef>& assignment,
                    std::vector<CandidateQuery>& out) {
   if (out.size() >= max_candidates) return;
   if (column == options.size()) {
-    CandidateQuery query{tree, assignment};
-    if (IsMinimalCandidate(query, graph)) out.push_back(std::move(query));
+    RelationSet mapped;
+    for (const ColumnRef& col : assignment) mapped.Set(col.rel);
+    if (leaves.IsSubsetOf(mapped)) out.push_back({tree, assignment});
     return;
   }
   for (const ColumnRef& choice : options[column]) {
     assignment[column] = choice;
-    AssignColumns(db, graph, tree, options, max_candidates, column + 1,
+    AssignColumns(tree, leaves, options, max_candidates, column + 1,
                   assignment, out);
     if (out.size() >= max_candidates) return;
   }
@@ -146,11 +147,12 @@ void AssignColumns(const Database& db, const SchemaGraph& graph,
 }  // namespace
 
 std::vector<CandidateQuery> EnumerateCandidateQueries(
-    const Database& db, const SchemaGraph& graph, const ExampleTable& et,
+    const Database& /*db*/, const SchemaGraph& graph,
+    const ExampleTable& /*et*/,  // pre-digested in candidate_columns
     const std::vector<std::vector<ColumnRef>>& candidate_columns,
     const CandidateGenOptions& options) {
-  (void)et;  // the ET's constraints arrive pre-digested in candidate_columns
   std::vector<CandidateQuery> out;
+  if (options.max_join_tree_size < 1) return out;
   // Relations hosting at least one candidate projection column; every
   // useful join tree touches one, and all its leaves must lie in this set.
   RelationSet hosting;
@@ -159,21 +161,15 @@ std::vector<CandidateQuery> EnumerateCandidateQueries(
     for (const ColumnRef& col : cols) hosting.Set(col.rel);
   }
 
-  for (const JoinTree& tree :
-       EnumerateSubtrees(graph, options.max_join_tree_size, &hosting)) {
+  const JoinTreeCatalog& catalog = graph.catalog(options.max_join_tree_size);
+  for (int id : catalog.Walk(hosting)) {
     if (options.deadline != nullptr && options.deadline->Expired()) break;
     // Minimality requires every leaf to host a mapped column; leaves
     // outside `hosting` can never be mapped, so skip such trees outright.
-    bool leaves_ok = true;
-    for (int leaf : tree.LeafVertices(graph)) {
-      if (!hosting.Test(leaf)) {
-        leaves_ok = false;
-        break;
-      }
-    }
-    if (!leaves_ok) continue;
+    if (!catalog.leaves(id).IsSubsetOf(hosting)) continue;
 
     // Restrict each ET column's options to columns inside this tree.
+    const JoinTree& tree = catalog.tree(id);
     std::vector<std::vector<ColumnRef>> in_tree(candidate_columns.size());
     bool feasible = true;
     for (size_t c = 0; c < candidate_columns.size() && feasible; ++c) {
@@ -185,8 +181,8 @@ std::vector<CandidateQuery> EnumerateCandidateQueries(
     if (!feasible) continue;
 
     std::vector<ColumnRef> assignment(candidate_columns.size());
-    AssignColumns(db, graph, tree, in_tree, options.max_candidates, 0,
-                  assignment, out);
+    AssignColumns(tree, catalog.leaves(id), in_tree, options.max_candidates,
+                  0, assignment, out);
     if (out.size() >= options.max_candidates) break;
   }
   return out;

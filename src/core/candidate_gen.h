@@ -19,8 +19,8 @@ struct CandidateGenOptions {
   /// candidate join tree (Table 3; default 4).
   int max_join_tree_size = 4;
 
-  /// Safety valve against pathological example tables: candidate
-  /// enumeration stops after this many candidates.
+  /// Candidate enumeration stops after this many candidates
+  /// (DiscoveryOptions::max_candidates fails such an ET instead).
   size_t max_candidates = 200000;
 
   /// When set, polled once per enumerated join tree; on expiry enumeration
@@ -66,7 +66,9 @@ std::vector<std::vector<ColumnRef>> RetrieveCandidateColumnsRelaxed(
 /// Candidate query enumeration (§3.2 step 2): all minimal candidate
 /// project-join queries over the schema graph whose projection mapping
 /// draws from `candidate_columns` and whose join tree has at most
-/// `options.max_join_tree_size` relations. No joins are executed. A caller
+/// `options.max_join_tree_size` relations, in the order `graph`'s
+/// join-tree catalog walks them from the hosting relations. No joins are
+/// executed. A caller
 /// passing `options.deadline` must treat the result as truncated once the
 /// deadline has expired.
 std::vector<CandidateQuery> EnumerateCandidateQueries(

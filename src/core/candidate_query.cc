@@ -1,20 +1,18 @@
 #include "core/candidate_query.h"
 
+#include "schema/join_tree_catalog.h"
+#include "util/check.h"
+
 namespace qbe {
 
 bool IsMinimalCandidate(const CandidateQuery& query,
                         const SchemaGraph& graph) {
-  for (int leaf : query.tree.LeafVertices(graph)) {
-    bool mapped = false;
-    for (const ColumnRef& col : query.projection) {
-      if (col.rel == leaf) {
-        mapped = true;
-        break;
-      }
-    }
-    if (!mapped) return false;
-  }
-  return true;
+  const JoinTreeCatalog& catalog = graph.catalog(query.tree.NumVertices());
+  const int id = catalog.Find(query.tree);
+  QBE_CHECK_MSG(id >= 0, "not a join tree of this schema graph");
+  RelationSet mapped;
+  for (const ColumnRef& col : query.projection) mapped.Set(col.rel);
+  return catalog.leaves(id).IsSubsetOf(mapped);
 }
 
 std::vector<PhrasePredicate> RowPredicates(const CandidateQuery& query,
@@ -43,20 +41,6 @@ void RowPredicatesInto(const CandidateQuery& query, const ExampleTable& et,
     }
   }
   out->resize(n);
-}
-
-std::string CandidateToString(const CandidateQuery& query, const Database& db,
-                              const SchemaGraph& graph,
-                              const ExampleTable& et) {
-  std::string out = JoinTreeToString(query.tree, graph, db);
-  out += " | ";
-  for (int c = 0; c < et.num_columns(); ++c) {
-    if (c > 0) out += ", ";
-    std::string name = et.column_name(c);
-    if (name.empty()) name = std::string(1, static_cast<char>('A' + c));
-    out += name + "->" + db.QualifiedColumnName(query.projection[c]);
-  }
-  return out;
 }
 
 }  // namespace qbe

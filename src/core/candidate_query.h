@@ -1,7 +1,6 @@
 #ifndef QBE_CORE_CANDIDATE_QUERY_H_
 #define QBE_CORE_CANDIDATE_QUERY_H_
 
-#include <string>
 #include <vector>
 
 #include "core/example_table.h"
@@ -42,11 +41,6 @@ std::vector<PhrasePredicate> RowPredicates(const CandidateQuery& query,
 void RowPredicatesInto(const CandidateQuery& query, const ExampleTable& et,
                        const EtTokenIds* et_ids, int row,
                        std::vector<PhrasePredicate>* out);
-
-/// Debug rendering: join tree plus "EtCol->Relation.Column" mappings.
-std::string CandidateToString(const CandidateQuery& query, const Database& db,
-                              const SchemaGraph& graph,
-                              const ExampleTable& et);
 
 }  // namespace qbe
 

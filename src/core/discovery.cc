@@ -122,12 +122,17 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
         "example table must be non-empty with no fully-empty row or column";
     return result;
   }
+  if (options.max_join_tree_size < 1) {
+    result.error = "max join tree size must be at least 1, got " +
+                   std::to_string(options.max_join_tree_size);
+    return result;
+  }
   if (DeadlineExpired(options)) return MarkTimedOut(result);
 
   // The schema (relations, FK edges) is immutable across epochs and shared
-  // by every view, so the graph and join-tree enumeration are built once
-  // from the first view's base; only row-level reads go through the views.
-  SchemaGraph graph(db);
+  // by every view, so the graph and its join-tree catalogs come from the
+  // first view's base; only row-level reads go through the views.
+  const SchemaGraph& graph = db.schema_graph();
 
   TraceContext* trace = options.trace;
   if (trace != nullptr) {
@@ -145,7 +150,9 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
       trace == nullptr ? kNullSpan : trace->OpenSpan(SpanKind::kCandidateGen);
   CandidateGenOptions gen_options;
   gen_options.max_join_tree_size = options.max_join_tree_size;
-  gen_options.max_candidates = options.max_candidates;
+  // One candidate past the cap tells a truncated set from a complete one.
+  gen_options.max_candidates =
+      options.max_candidates + (options.max_candidates < SIZE_MAX ? 1 : 0);
   gen_options.deadline = options.deadline;
   std::vector<std::vector<ColumnRef>> candidate_columns =
       options.min_row_support >= 0
@@ -165,6 +172,11 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
   }
   // Checked before the empty case: enumeration stops early on expiry.
   if (DeadlineExpired(options)) return MarkTimedOut(result);
+  if (candidates.size() > options.max_candidates) {
+    result.error = "ET too broad: more than " +
+                   std::to_string(options.max_candidates) + " candidates";
+    return result;
+  }
   if (candidates.empty()) return result;
 
   // Resolve the ET's tokens against each view's dictionary once (base

@@ -24,7 +24,7 @@ enum class Algorithm {
 };
 
 struct DiscoveryOptions {
-  /// Maximal join length l (Table 3 default).
+  /// Maximal join length l (Table 3 default); below 1 is an error.
   int max_join_tree_size = 4;
 
   Algorithm algorithm = Algorithm::kFilter;
@@ -47,6 +47,8 @@ struct DiscoveryOptions {
   /// more selective projection columns first.
   bool rank_results = true;
 
+  /// An ET with more candidates than this fails ("ET too broad") rather
+  /// than verifying a truncated set.
   size_t max_candidates = 200000;
 
   /// Optional shared verification-outcome cache (see EvalCacheBase); used

@@ -42,7 +42,7 @@ DiscoveryExplain ExplainDiscovery(const Database& db, const ExampleTable& et,
   }
 
   // Stage 2: candidate enumeration statistics.
-  SchemaGraph graph(db);
+  const SchemaGraph& graph = db.schema_graph();
   CandidateGenOptions gen_options;
   gen_options.max_join_tree_size = options.max_join_tree_size;
   gen_options.max_candidates = options.max_candidates;

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <unordered_map>
 
-#include "schema/subtree_enum.h"
+#include "schema/join_tree_catalog.h"
 #include "util/check.h"
 
 namespace qbe {
@@ -128,8 +127,8 @@ IdLists Invert(size_t n, int num_targets, TargetsOf targets_of) {
 /// duplicate, and one probe serves all rows of a (subtree, φ) pair.
 class UniverseAssembler {
  public:
-  UniverseAssembler(const SchemaGraph& graph, const ExampleTable& et)
-      : graph_(graph),
+  UniverseAssembler(const JoinTreeCatalog& catalog, const ExampleTable& et)
+      : catalog_(catalog),
         et_(et),
         rows_(et.num_rows()),
         width_(et.num_columns()),
@@ -138,8 +137,9 @@ class UniverseAssembler {
   /// Adds F(Q) for the next candidate Q, in (row, subtree enumeration)
   /// order.
   void AddCandidate(const CandidateQuery& query) {
-    const int t = InternTree(query.tree);
-    const std::vector<int>& subtrees = SubtreesOf(t, query.tree);
+    const int t = catalog_.Find(query.tree);
+    QBE_CHECK_MSG(t >= 0, "candidate tree is not in the join-tree catalog");
+    const std::vector<int>& subtrees = catalog_.subtrees(t);
     subtree_pair_.resize(subtrees.size());
     for (int c = 0; c < width_; ++c) {
       cell_hash_[c] = CellHash(c, query.projection[c]);
@@ -186,43 +186,10 @@ class UniverseAssembler {
  private:
   int num_classes() const { return classes_.size(); }
 
-  int InternTree(const JoinTree& tree) {
-    auto [it, inserted] =
-        tree_ids_.emplace(tree, static_cast<int>(trees_.size()));
-    if (inserted) {
-      trees_.push_back(&it->first);
-      enumerated_.emplace_back();
-      lattice_.emplace_back();
-    }
-    return it->second;
-  }
-
-  /// The connected subtrees of candidate tree t (`tree`), enumerated once
-  /// per distinct tree; also fills the subtree lattice of each of them.
-  const std::vector<int>& SubtreesOf(int t, const JoinTree& tree) {
-    if (enumerated_[t].empty()) {
-      std::vector<int> subtrees;
-      for (const JoinTree& s : EnumerateSubtreesOfTree(tree, graph_)) {
-        subtrees.push_back(InternTree(s));
-      }
-      // Every subtree of a subtree of `tree` is in `subtrees`.
-      for (int s2 : subtrees) {
-        if (!lattice_[s2].empty()) continue;
-        for (int s1 : subtrees) {
-          if (trees_[s1]->IsSubtreeOf(*trees_[s2])) {
-            lattice_[s2].push_back(s1);
-          }
-        }
-      }
-      enumerated_[t] = std::move(subtrees);
-    }
-    return enumerated_[t];
-  }
-
   /// The (subtree s, φ restriction of `query` to s) pair, added if new.
   /// Expects cell_hash_ to hold the terms of `query`'s projection.
   int PairOf(const CandidateQuery& query, int s) {
-    const RelationSet& verts = trees_[s]->verts;
+    const RelationSet& verts = catalog_.tree(s).verts;
     auto restricted = [&](int c) {
       const ColumnRef& mapped = query.projection[c];
       return verts.Test(mapped.rel) ? mapped : ColumnRef{};
@@ -247,7 +214,7 @@ class UniverseAssembler {
 
   int AddFilter(const CandidateQuery& query, int tree, int row) {
     const int fid = u_.num_filters();
-    u_.filters.push_back(MakeFilter(query, *trees_[tree], et_, row));
+    u_.filters.push_back(MakeFilter(query, catalog_.tree(tree), et_, row));
     const Filter& filter = u_.filters.back();
     const uint32_t mask = filter.constrained_mask;
     uint64_t hash = ClassSeed(tree, row);
@@ -301,10 +268,16 @@ class UniverseAssembler {
   /// masks present on (subtree of B's tree, row). One keyed lookup per such
   /// (subtree, mask) pair replaces the pairwise filter scan.
   void LinkClasses() {
-    std::vector<std::vector<uint32_t>> masks_at(trees_.size() * rows_);
+    // Trees holding classes get dense slots; `masks_at[slot * rows + row]`.
+    std::vector<int> slot(catalog_.size(), -1);
+    std::vector<std::vector<uint32_t>> masks_at;
     for (int c = 0; c < num_classes(); ++c) {
-      std::vector<uint32_t>& masks =
-          masks_at[class_tree_[c] * rows_ + class_row_[c]];
+      int& s = slot[class_tree_[c]];
+      if (s < 0) {
+        s = static_cast<int>(masks_at.size()) / rows_;
+        masks_at.resize(masks_at.size() + rows_);
+      }
+      std::vector<uint32_t>& masks = masks_at[s * rows_ + class_row_[c]];
       if (std::find(masks.begin(), masks.end(), class_mask_[c]) ==
           masks.end()) {
         masks.push_back(class_mask_[c]);
@@ -317,14 +290,17 @@ class UniverseAssembler {
         const int c = std::countr_zero(m);
         cell_hash_[c] = CellHash(c, phi[c]);
       }
-      for (int s : lattice_[class_tree_[b]]) {
+      for (int s : catalog_.subtrees(class_tree_[b])) {
+        if (slot[s] < 0) continue;
         // Cells of B's mask whose mapped relation lies in subtree s.
         uint32_t reach = 0;
         for (uint32_t m = class_mask_[b]; m != 0; m &= m - 1) {
           const int c = std::countr_zero(m);
-          if (trees_[s]->verts.Test(phi[c].rel)) reach |= uint32_t{1} << c;
+          if (catalog_.tree(s).verts.Test(phi[c].rel)) {
+            reach |= uint32_t{1} << c;
+          }
         }
-        for (uint32_t mask : masks_at[s * rows_ + row]) {
+        for (uint32_t mask : masks_at[slot[s] * rows_ + row]) {
           if ((mask & ~reach) != 0) continue;
           uint64_t hash = ClassSeed(s, row);
           for (uint32_t m = mask; m != 0; m &= m - 1) {
@@ -338,20 +314,11 @@ class UniverseAssembler {
     }
   }
 
-  const SchemaGraph& graph_;
+  const JoinTreeCatalog& catalog_;
   const ExampleTable& et_;
   const int rows_;
   const int width_;
   FilterUniverse u_;
-
-  // Every distinct subtree of every candidate tree, interned once.
-  // `enumerated_[t]` keeps candidate tree t's subtree enumeration order
-  // (filter ids follow it); `lattice_[t]` lists the subtrees of interned
-  // tree t, itself included.
-  std::unordered_map<JoinTree, int, JoinTreeHash> tree_ids_;
-  std::vector<const JoinTree*> trees_;
-  std::vector<std::vector<int>> enumerated_;
-  std::vector<std::vector<int>> lattice_;
 
   // A (subtree, φ restriction) pair fixes a filter up to its row:
   // `pair_filters_[pair * rows + row]` is that filter, -1 until first seen.
@@ -379,7 +346,12 @@ FilterUniverse BuildFilterUniverse(const SchemaGraph& graph,
                                    const std::vector<CandidateQuery>&
                                        candidates,
                                    const DeadlineToken* deadline) {
-  UniverseAssembler assembler(graph, et);
+  // Catalog ids are the same in every catalog holding the tree.
+  int max_vertices = 1;
+  for (const CandidateQuery& query : candidates) {
+    max_vertices = std::max(max_vertices, query.tree.NumVertices());
+  }
+  UniverseAssembler assembler(graph.catalog(max_vertices), et);
   for (const CandidateQuery& query : candidates) {
     if (deadline != nullptr && deadline->Expired()) {
       FilterUniverse stopped;

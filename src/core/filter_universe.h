@@ -74,11 +74,11 @@ struct FilterUniverse {
   int num_classes() const { return static_cast<int>(class_members.size()); }
 };
 
-/// Builds the universe: enumerates the connected subtrees of every
-/// distinct candidate join tree once, forms each candidate's filters for
-/// every ET row, deduplicates filters shared across candidates, groups
-/// them into predicate classes, and links the classes by keyed lookup over
-/// the subtree lattice. `deadline`, when given, is polled once per
+/// Builds the universe: forms each candidate's filters for every ET row
+/// over the subtrees of its join tree (from `graph`'s join-tree catalog),
+/// deduplicates filters shared across candidates, groups them into
+/// predicate classes, and links the classes by keyed lookup over the
+/// catalog's subtree lists. `deadline`, when given, is polled once per
 /// candidate; on expiry the build stops and sets `stopped_early`.
 FilterUniverse BuildFilterUniverse(
     const SchemaGraph& graph, const ExampleTable& et,

@@ -13,8 +13,6 @@ DiscoverySession::DiscoverySession(const Database& db,
                                    EvalCacheBase* shared_cache)
     : db_(db),
       options_(options),
-      graph_(db),
-      exec_(db, graph_),
       cache_(shared_cache != nullptr ? shared_cache : &own_cache_) {
   options_.cache = cache_;
 }

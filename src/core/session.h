@@ -8,8 +8,6 @@
 #include "core/discovery.h"
 #include "core/example_table.h"
 #include "core/verifier.h"
-#include "exec/executor.h"
-#include "schema/schema_graph.h"
 #include "storage/database.h"
 
 namespace qbe {
@@ -72,8 +70,6 @@ class DiscoverySession {
 
   const Database& db_;
   DiscoveryOptions options_;
-  SchemaGraph graph_;
-  Executor exec_;
   EvalCache own_cache_;
   EvalCacheBase* cache_;  // own_cache_ or the shared cache
   std::vector<std::string> column_names_;

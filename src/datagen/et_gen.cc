@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "schema/subtree_enum.h"
+#include "schema/join_tree_catalog.h"
 #include "text/tokenizer.h"
 #include "util/check.h"
 #include "util/string_util.h"
@@ -34,11 +34,11 @@ EtSource::EtSource(const Database& db, const SchemaGraph& graph,
   // Rank join trees by text-column richness, then take the first
   // `num_matrices` (in a seed-shuffled order among equals) that yield
   // enough complete distinct rows.
-  std::vector<JoinTree> trees =
-      EnumerateSubtrees(graph, options.max_tree_size);
-  std::vector<std::pair<int, size_t>> ranked;  // (-text_cols, index)
-  for (size_t i = 0; i < trees.size(); ++i) {
-    int text_cols = static_cast<int>(TreeTextColumns(db, trees[i]).size());
+  const JoinTreeCatalog& trees = graph.catalog(options.max_tree_size);
+  std::vector<std::pair<int, int>> ranked;  // (-text_cols, tree id)
+  for (int i = 0; i < trees.size(); ++i) {
+    const int text_cols =
+        static_cast<int>(TreeTextColumns(db, trees.tree(i)).size());
     if (text_cols >= options.min_text_cols) {
       ranked.emplace_back(-text_cols, i);
     }
@@ -52,7 +52,7 @@ EtSource::EtSource(const Database& db, const SchemaGraph& graph,
 
   for (const auto& [neg_cols, index] : ranked) {
     if (num_matrices() >= options.num_matrices) break;
-    const JoinTree& tree = trees[index];
+    const JoinTree& tree = trees.tree(index);
     std::vector<ColumnRef> projection = TreeTextColumns(db, tree);
     std::vector<std::vector<std::string>> rows =
         exec.Materialize(tree, {}, projection, options.matrix_row_cap);

@@ -4,22 +4,6 @@
 
 namespace qbe {
 
-int JoinTree::Degree(const SchemaGraph& graph, int vertex) const {
-  int degree = 0;
-  for (int e : graph.IncidentEdges(vertex)) {
-    if (edges.Test(e)) ++degree;
-  }
-  return degree;
-}
-
-std::vector<int> JoinTree::LeafVertices(const SchemaGraph& graph) const {
-  std::vector<int> leaves;
-  verts.ForEach([&](int v) {
-    if (Degree(graph, v) <= 1) leaves.push_back(v);
-  });
-  return leaves;
-}
-
 std::vector<int> JoinTree::Vertices() const {
   std::vector<int> out;
   verts.ForEach([&](int v) { out.push_back(v); });

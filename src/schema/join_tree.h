@@ -29,22 +29,12 @@ struct JoinTree {
   int NumVertices() const { return verts.Count(); }
   int NumEdges() const { return edges.Count(); }
 
-  /// Number of joins executed when evaluating this tree.
-  int NumJoins() const { return NumEdges(); }
-
   /// True iff this tree is a (connected) subtree of `other`. Both operands
   /// must be well-formed trees; for trees, vertex-subset + edge-subset is
   /// exactly the subtree relation.
   bool IsSubtreeOf(const JoinTree& other) const {
     return verts.IsSubsetOf(other.verts) && edges.IsSubsetOf(other.edges);
   }
-
-  /// Degree of `vertex` counting only tree edges.
-  int Degree(const SchemaGraph& graph, int vertex) const;
-
-  /// Vertices with degree ≤ 1 (the "degree-1 relations" of Definition 3;
-  /// a single-vertex tree's vertex is included).
-  std::vector<int> LeafVertices(const SchemaGraph& graph) const;
 
   /// Vertices in ascending id order.
   std::vector<int> Vertices() const;

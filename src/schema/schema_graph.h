@@ -1,13 +1,16 @@
 #ifndef QBE_SCHEMA_SCHEMA_GRAPH_H_
 #define QBE_SCHEMA_SCHEMA_GRAPH_H_
 
-#include <string>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "storage/database.h"
 #include "util/small_bitset.h"
 
 namespace qbe {
+
+class JoinTreeCatalog;
 
 /// The directed schema graph G(V, E) of §2.1: vertices are relations, edges
 /// are foreign-key references (possibly several between the same pair of
@@ -40,10 +43,21 @@ class SchemaGraph {
     return e.from == vertex ? e.to : e.from;
   }
 
+  /// The join trees with at most `max_vertices` (≥ 1) vertices, built on
+  /// first use, once per l (values above num_vertices() share one), and
+  /// immutable afterwards. Thread-safe.
+  const JoinTreeCatalog& catalog(int max_vertices) const;
+
  private:
+  struct CatalogSlot {
+    std::once_flag once;
+    std::shared_ptr<const JoinTreeCatalog> catalog;  // incomplete type here
+  };
+
   int num_vertices_;
   std::vector<Edge> edges_;
   std::vector<std::vector<int>> incident_;
+  std::unique_ptr<CatalogSlot[]> catalogs_;  // by min(l, num_vertices_)
 };
 
 }  // namespace qbe

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "schema/schema_graph.h"
 #include "util/check.h"
 
 namespace qbe {
@@ -172,6 +173,12 @@ void Database::EnsureKeyMaps() const {
     // never turn a lookup into a crash.
     if (!key_maps_built_) BuildKeyMaps(/*reject_duplicate_pk=*/false);
   });
+}
+
+const SchemaGraph& Database::schema_graph() const {
+  std::call_once(*graph_once_,
+                 [this] { graph_ = std::make_shared<SchemaGraph>(*this); });
+  return *graph_;
 }
 
 int Database::TextColumnGid(const ColumnRef& ref) const {

@@ -19,6 +19,8 @@
 
 namespace qbe {
 
+class SchemaGraph;
+
 /// A labeled foreign-key reference: `from_rel.from_col` references the
 /// primary key `to_rel.to_col`. These are the directed edges of the schema
 /// graph (§2.1); multiple edges between the same pair of relations are
@@ -91,6 +93,12 @@ class Database {
 
   const std::vector<ForeignKey>& foreign_keys() const { return fks_; }
   const ForeignKey& foreign_key(int edge) const { return fks_[edge]; }
+
+  /// The schema graph of the relations and foreign keys above, built on
+  /// first use (the catalog must be complete by then) and shared by every
+  /// request against this database, with its join-tree catalogs.
+  /// Thread-safe.
+  const SchemaGraph& schema_graph() const;
 
   /// Total column count and text column count across all relations
   /// (the "Columns" / "Text Columns" statistics of Table 2).
@@ -221,6 +229,11 @@ class Database {
   mutable std::vector<FkIndex> fk_indexes_;             // by edge id
   mutable bool key_maps_built_ = false;
   mutable std::unique_ptr<std::once_flag> key_maps_once_ =
+      std::make_unique<std::once_flag>();
+  // Built on first schema_graph() call; shared_ptr because SchemaGraph is
+  // incomplete here.
+  mutable std::shared_ptr<const SchemaGraph> graph_;
+  mutable std::unique_ptr<std::once_flag> graph_once_ =
       std::make_unique<std::once_flag>();
   std::vector<uint32_t> fk_distinct_;                   // by edge id
   std::vector<EdgeJoinIndex> edge_join_;                // by edge id

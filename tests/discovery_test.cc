@@ -131,6 +131,25 @@ TEST_F(DiscoveryTest, IllFormedTableReturnsError) {
   EXPECT_TRUE(DiscoverQueries(db_, good).ok());
 }
 
+TEST_F(DiscoveryTest, MoreCandidatesThanTheCapIsAnError) {
+  // Figure 2 has 3 candidates: a cap of 2 must not verify a truncated
+  // prefix and report it as the answer.
+  ExampleTable et = MakeFigure2ExampleTable();
+  DiscoveryOptions options;
+  options.max_candidates = 2;
+  DiscoveryResult capped = DiscoverQueries(db_, et, options);
+  EXPECT_FALSE(capped.ok());
+  EXPECT_FALSE(capped.timed_out);
+  EXPECT_EQ(capped.error, "ET too broad: more than 2 candidates");
+  EXPECT_TRUE(capped.queries.empty());
+
+  options.max_candidates = 3;  // exactly enough
+  DiscoveryResult full = DiscoverQueries(db_, et, options);
+  EXPECT_TRUE(full.ok());
+  EXPECT_EQ(full.num_candidates, 3u);
+  EXPECT_FALSE(full.queries.empty());
+}
+
 TEST_F(DiscoveryTest, CountersPopulated) {
   ExampleTable et = MakeFigure2ExampleTable();
   DiscoveryResult result = DiscoverQueries(db_, et);

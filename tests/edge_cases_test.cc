@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/candidate_gen.h"
+#include "core/discovery.h"
 #include "core/filter_verifier.h"
 #include "core/verify_all.h"
 #include "datagen/retailer.h"
@@ -78,6 +79,20 @@ TEST(CandidateGenEdgeTest, MaxJoinTreeSizeOne) {
   options.max_join_tree_size = 1;
   for (const CandidateQuery& q : GenerateCandidates(db, graph, et, options)) {
     EXPECT_EQ(q.tree.NumVertices(), 1);
+  }
+}
+
+TEST(CandidateGenEdgeTest, NonPositiveMaxJoinTreeSizeIsAnError) {
+  Database db = MakeRetailerDatabase();
+  for (int l : {0, -3}) {
+    DiscoveryOptions options;
+    options.max_join_tree_size = l;
+    DiscoveryResult result =
+        DiscoverQueries(db, MakeFigure2ExampleTable(), options);
+    EXPECT_EQ(result.error, "max join tree size must be at least 1, got " +
+                                std::to_string(l));
+    EXPECT_FALSE(result.timed_out);
+    EXPECT_TRUE(result.queries.empty());
   }
 }
 

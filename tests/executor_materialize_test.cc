@@ -10,7 +10,7 @@
 
 #include "datagen/retailer.h"
 #include "exec/executor.h"
-#include "schema/subtree_enum.h"
+#include "schema/join_tree_catalog.h"
 #include "test_util.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
@@ -79,9 +79,9 @@ TEST(ExecutorMaterializeTest, PropertyMatchesBruteForceExactly) {
     SchemaGraph graph(db);
     Executor exec(db, graph);
     Rng rng(seed * 7);
-    std::vector<JoinTree> trees = EnumerateSubtrees(graph, 4);
+    const JoinTreeCatalog& trees = graph.catalog(4);
     for (int trial = 0; trial < 25; ++trial) {
-      const JoinTree& tree = trees[rng.NextBounded(trees.size())];
+      const JoinTree& tree = trees.tree(rng.NextBounded(trees.size()));
       // Occasionally constrain with a predicate from actual data.
       std::vector<PhrasePredicate> predicates;
       if (rng.NextBool(0.5)) {

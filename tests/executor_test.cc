@@ -6,7 +6,7 @@
 #include "datagen/retailer.h"
 #include "datagen/text_gen.h"
 #include "exec/sql_render.h"
-#include "schema/subtree_enum.h"
+#include "schema/join_tree_catalog.h"
 #include "test_util.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
@@ -144,10 +144,10 @@ TEST_F(ExecutorTest, PropertyAgreesWithBruteForce) {
     SchemaGraph graph(db);
     Executor exec(db, graph);
     Rng rng(seed * 101);
-    std::vector<JoinTree> trees = EnumerateSubtrees(graph, 4);
+    const JoinTreeCatalog& trees = graph.catalog(4);
     TextGenerator text;
     for (int trial = 0; trial < 40; ++trial) {
-      const JoinTree& tree = trees[rng.NextBounded(trees.size())];
+      const JoinTree& tree = trees.tree(rng.NextBounded(trees.size()));
       // Random predicates on random text columns of the tree.
       std::vector<PhrasePredicate> predicates;
       tree.verts.ForEach([&](int v) {

@@ -10,7 +10,7 @@
 #include "core/candidate_gen.h"
 #include "exec/executor.h"
 #include "exec/sql_render.h"
-#include "schema/subtree_enum.h"
+#include "schema/join_tree_catalog.h"
 #include "storage/database.h"
 #include "text/tokenizer.h"
 
@@ -57,11 +57,13 @@ TEST_F(MultiEdgeTest, TwoEdgesBetweenSamePair) {
 }
 
 TEST_F(MultiEdgeTest, DistinctTreesOverSameVertexSet) {
-  std::vector<JoinTree> trees = EnumerateSubtrees(graph_, 2);
+  const JoinTreeCatalog& trees = graph_.catalog(2);
   // 2 singletons + 2 distinct two-vertex trees (one per edge).
-  ASSERT_EQ(trees.size(), 4u);
+  ASSERT_EQ(trees.size(), 4);
   int two_vertex = 0;
-  for (const JoinTree& t : trees) two_vertex += t.NumVertices() == 2;
+  for (int t = 0; t < trees.size(); ++t) {
+    two_vertex += trees.tree(t).NumVertices() == 2;
+  }
   EXPECT_EQ(two_vertex, 2);
 }
 

@@ -4,7 +4,7 @@
 
 #include "datagen/retailer.h"
 #include "schema/join_tree.h"
-#include "schema/subtree_enum.h"
+#include "schema/join_tree_catalog.h"
 
 namespace qbe {
 namespace {
@@ -69,7 +69,8 @@ TEST_F(SchemaTest, SingleVertexTree) {
   JoinTree t = JoinTree::Single(Rel("Sales"));
   EXPECT_EQ(t.NumVertices(), 1);
   EXPECT_EQ(t.NumEdges(), 0);
-  EXPECT_EQ(t.LeafVertices(graph_), (std::vector<int>{Rel("Sales")}));
+  const JoinTreeCatalog& catalog = graph_.catalog(1);
+  EXPECT_EQ(catalog.leaves(catalog.Find(t)), t.verts);
 }
 
 TEST_F(SchemaTest, ExtendTreeAddsVertexAndEdge) {
@@ -82,14 +83,14 @@ TEST_F(SchemaTest, ExtendTreeAddsVertexAndEdge) {
   EXPECT_FALSE(t2.IsSubtreeOf(t));
 }
 
-TEST_F(SchemaTest, DegreesAndLeaves) {
+TEST_F(SchemaTest, CatalogLeaves) {
   JoinTree cq1 = Tree({"Sales", "Customer", "Device", "App"});
   EXPECT_EQ(cq1.NumVertices(), 4);
-  EXPECT_EQ(cq1.Degree(graph_, Rel("Sales")), 3);
-  EXPECT_EQ(cq1.Degree(graph_, Rel("Customer")), 1);
-  std::vector<int> leaves = cq1.LeafVertices(graph_);
-  EXPECT_EQ(leaves.size(), 3u);  // Customer, Device, App
-  EXPECT_EQ(std::count(leaves.begin(), leaves.end(), Rel("Sales")), 0);
+  const JoinTreeCatalog& catalog = graph_.catalog(4);
+  const RelationSet& leaves = catalog.leaves(catalog.Find(cq1));
+  EXPECT_EQ(leaves.Count(), 3);  // Customer, Device, App; Sales has degree 3
+  EXPECT_FALSE(leaves.Test(Rel("Sales")));
+  EXPECT_TRUE(leaves.Test(Rel("Customer")));
 }
 
 TEST_F(SchemaTest, SubtreeRelationIsReflexiveAndAntisymmetricOnSize) {
@@ -103,23 +104,22 @@ TEST_F(SchemaTest, SubtreeRelationIsReflexiveAndAntisymmetricOnSize) {
   EXPECT_FALSE(c.IsSubtreeOf(b));
 }
 
-TEST_F(SchemaTest, EnumerateSubtreesSizeOne) {
-  std::vector<JoinTree> trees = EnumerateSubtrees(graph_, 1);
-  EXPECT_EQ(trees.size(), 7u);  // one per relation
+TEST_F(SchemaTest, CatalogSizeOne) {
+  EXPECT_EQ(graph_.catalog(1).size(), 7);  // one per relation
 }
 
-TEST_F(SchemaTest, EnumerateSubtreesSizeTwoMatchesEdges) {
-  std::vector<JoinTree> trees = EnumerateSubtrees(graph_, 2);
+TEST_F(SchemaTest, CatalogSizeTwoMatchesEdges) {
   // 7 singletons + 8 edges (all edges connect distinct relations).
-  EXPECT_EQ(trees.size(), 7u + 8u);
+  EXPECT_EQ(graph_.catalog(2).size(), 7 + 8);
 }
 
-TEST_F(SchemaTest, EnumerateSubtreesRespectsRequiredSet) {
+TEST_F(SchemaTest, CatalogWalkRespectsSeeds) {
   RelationSet required;
   required.Set(Rel("ESR"));
-  std::vector<JoinTree> trees = EnumerateSubtrees(graph_, 3, &required);
-  for (const JoinTree& t : trees) {
-    EXPECT_TRUE(t.verts.Test(Rel("ESR")));
+  const JoinTreeCatalog& catalog = graph_.catalog(3);
+  std::vector<int> trees = catalog.Walk(required);
+  for (int t : trees) {
+    EXPECT_TRUE(catalog.tree(t).verts.Test(Rel("ESR")));
   }
   // ESR alone; ESR+Employee; ESR+App; and all 3-vertex trees through ESR:
   // ESR-Employee-Owner, ESR-App-Sales, ESR-App-Owner, ESR-Employee-App(x via
@@ -127,35 +127,40 @@ TEST_F(SchemaTest, EnumerateSubtreesRespectsRequiredSet) {
   EXPECT_GE(trees.size(), 5u);
 }
 
-TEST_F(SchemaTest, EnumerateSubtreesNoDuplicates) {
-  std::vector<JoinTree> trees = EnumerateSubtrees(graph_, 4);
-  for (size_t i = 0; i < trees.size(); ++i) {
-    for (size_t j = i + 1; j < trees.size(); ++j) {
-      EXPECT_FALSE(trees[i] == trees[j]);
+TEST_F(SchemaTest, CatalogNoDuplicates) {
+  const JoinTreeCatalog& catalog = graph_.catalog(4);
+  for (int i = 0; i < catalog.size(); ++i) {
+    EXPECT_EQ(catalog.Find(catalog.tree(i)), i);
+    for (int j = i + 1; j < catalog.size(); ++j) {
+      EXPECT_FALSE(catalog.tree(i) == catalog.tree(j));
     }
   }
 }
 
-TEST_F(SchemaTest, EnumerateSubtreesAllAreTrees) {
-  for (const JoinTree& t : EnumerateSubtrees(graph_, 5)) {
+TEST_F(SchemaTest, CatalogAllAreTrees) {
+  const JoinTreeCatalog& catalog = graph_.catalog(5);
+  for (int i = 0; i < catalog.size(); ++i) {
+    const JoinTree& t = catalog.tree(i);
     EXPECT_EQ(t.NumEdges(), t.NumVertices() - 1);
     EXPECT_LE(t.NumVertices(), 5);
   }
 }
 
-TEST_F(SchemaTest, EnumerateSubtreesOfTree) {
+TEST_F(SchemaTest, CatalogSubtreesOfPath) {
   // A path of 3 vertices has 3 + 2 + 1 = 6 connected subtrees.
   JoinTree path = Tree({"Customer", "Sales", "Device"});
-  std::vector<JoinTree> subs = EnumerateSubtreesOfTree(path, graph_);
+  const JoinTreeCatalog& catalog = graph_.catalog(3);
+  const std::vector<int>& subs = catalog.subtrees(catalog.Find(path));
   EXPECT_EQ(subs.size(), 6u);
-  for (const JoinTree& s : subs) EXPECT_TRUE(s.IsSubtreeOf(path));
+  for (int s : subs) EXPECT_TRUE(catalog.tree(s).IsSubtreeOf(path));
 }
 
-TEST_F(SchemaTest, EnumerateSubtreesOfStarTree) {
+TEST_F(SchemaTest, CatalogSubtreesOfStar) {
   // Star with center Sales and 3 leaves: subtrees = 4 singles + 3 edges +
   // 3 two-edge + 1 full = 11.
   JoinTree star = Tree({"Sales", "Customer", "Device", "App"});
-  EXPECT_EQ(EnumerateSubtreesOfTree(star, graph_).size(), 11u);
+  const JoinTreeCatalog& catalog = graph_.catalog(4);
+  EXPECT_EQ(catalog.subtrees(catalog.Find(star)).size(), 11u);
 }
 
 TEST_F(SchemaTest, JoinTreeToStringMentionsRelations) {

@@ -286,6 +286,17 @@ TEST(ServiceTest, MalformedTableFails) {
   EXPECT_EQ(service.metrics().GetCounter("requests_failed").Value(), 1);
 }
 
+TEST(ServiceTest, TooBroadTableFails) {
+  ServiceOptions options;
+  options.discovery.max_candidates = 2;  // Figure 2 has 3 candidates
+  DiscoveryService service(MakeRetailerDatabase(), options);
+  ServiceResponse response = service.Discover(MakeFigure2ExampleTable());
+  EXPECT_EQ(response.status, RequestStatus::kFailed);
+  EXPECT_EQ(response.result.error, "ET too broad: more than 2 candidates");
+  EXPECT_TRUE(response.result.queries.empty());
+  EXPECT_EQ(service.metrics().GetCounter("requests_failed").Value(), 1);
+}
+
 TEST(ServiceTest, GracefulShutdownDrainsInFlightRequests) {
   ServiceOptions options;
   options.num_workers = 2;

@@ -11,7 +11,10 @@
 // per relation plus a schema.manifest declaring column types and foreign
 // keys (hand-editable; see storage/catalog_io.h).
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -43,6 +46,19 @@ std::optional<qbe::Algorithm> ParseAlgorithm(const std::string& name) {
   if (name == "filterexact") return qbe::Algorithm::kFilterExact;
   if (name == "weave") return qbe::Algorithm::kWeave;
   return std::nullopt;
+}
+
+/// A positive decimal int, or nullopt (non-numeric, trailing junk, ≤ 0).
+std::optional<int> ParsePositive(const char* text) {
+  if (text == nullptr) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || value < 1 ||
+      value > INT_MAX) {
+    return std::nullopt;
+  }
+  return static_cast<int>(value);
 }
 
 }  // namespace
@@ -79,7 +95,12 @@ int main(int argc, char** argv) {
       }
       options.algorithm = *algo;
     } else if (arg == "--max-join-length") {
-      if (const char* v = next()) options.max_join_tree_size = std::atoi(v);
+      std::optional<int> l = ParsePositive(next());
+      if (!l.has_value()) {
+        std::fprintf(stderr, "--max-join-length needs a positive integer\n");
+        return 2;
+      }
+      options.max_join_tree_size = *l;
     } else if (arg == "--min-row-support") {
       if (const char* v = next()) options.min_row_support = std::atoi(v);
     } else if (arg == "--explain") {
