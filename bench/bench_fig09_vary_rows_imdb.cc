@@ -12,7 +12,7 @@
 // micro-kernels for the dense sorted intersection, the phrase shifted-span
 // merge and the semijoin bitmap AND+emit. Per-level wall times and
 // widest-vs-scalar speedups are written as JSON to PATH (the CI bench leg
-// archives it as results/BENCH_PR8.json).
+// runs this mode on every push).
 
 #include <algorithm>
 #include <chrono>

@@ -193,7 +193,6 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
   if (trace != nullptr) trace->CloseSpan(resolve_span);
 
   ShardExecOptions probe_options;
-  probe_options.subtree_memo = options.subtree_memo;
   probe_options.use_match_cache = options.use_match_cache;
   ShardExecSet probes(views, graph, probe_options);
   VerifyContext ctx{db,

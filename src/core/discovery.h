@@ -63,12 +63,6 @@ struct DiscoveryOptions {
   /// run returns DiscoveryResult::timed_out with no queries. Not owned.
   const DeadlineToken* deadline = nullptr;
 
-  /// Shares reduced predicate-free join subtrees across the candidates of
-  /// this request (Executor::SubtreeMemo). Purely an execution-cost
-  /// optimization: outcomes, verification counts, and the valid set are
-  /// bit-identical with it on or off.
-  bool subtree_memo = true;
-
   /// Shares (column, phrase-ids) → row-set match results across every
   /// existence query of this request (see exec/match_cache.h). Purely an
   /// execution-cost optimization: outcomes, verification counts, and the

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -67,12 +68,15 @@ constexpr int kReaders = 3;
 /// `racing_compaction` a tombstone may lose the race against a concurrent
 /// renumbering Compact — that rejection is benign and skipped; without
 /// compaction every mutation must be admitted. Stops after `ops` ops, or
-/// earlier once `stop` (when given) is set.
+/// earlier: after the first mutation admitted once at least `min_ops` ops
+/// ran and `stop()` holds, so the end state is newer than every epoch
+/// published before `stop()` held.
 void RunWriter(LiveDatabase& live, int customer_rel, int sales_rel, int ops,
-               bool racing_compaction, std::atomic<bool>& failed,
-               const std::atomic<bool>* stop = nullptr) {
+               int min_ops, bool racing_compaction, std::atomic<bool>& failed,
+               const std::function<bool()>& stop) {
   std::string error;
-  for (int op = 0; op < ops && (stop == nullptr || !stop->load()); ++op) {
+  for (int op = 0; op < ops; ++op) {
+    const bool last = op >= min_ops && stop();
     bool ok = true;
     if (op % 3 == 2) {
       // Victim: the highest-id live customer at pin time. Compaction can
@@ -111,20 +115,24 @@ void RunWriter(LiveDatabase& live, int customer_rel, int sales_rel, int ops,
       failed.store(true);
       return;
     }
+    if (last) return;
     std::this_thread::yield();
   }
 }
 
 /// Reader number `reader`: repeatedly pin the current epoch, discover, and
-/// record (pin, result) for post-hoc verification.
+/// record (pin, result) for post-hoc verification. Sets `sampled` (when
+/// given) once a sample is recorded.
 void RunReader(LiveDatabase& live, const ExampleTable& et, int reader,
-               int iterations, std::mutex& mu, std::vector<Sample>& samples) {
+               int iterations, std::mutex& mu, std::vector<Sample>& samples,
+               std::atomic<bool>* sampled = nullptr) {
   for (int i = 0; i < iterations; ++i) {
     DbVersion pin = live.Pin();
     DiscoveryResult result = DiscoverQueries(pin.view(), et, {}, pin.epoch);
     ASSERT_TRUE(result.ok()) << result.error;
     std::lock_guard<std::mutex> lock(mu);
     samples.push_back({std::move(pin), reader, Canon(result)});
+    if (sampled != nullptr) sampled->store(true);
   }
 }
 
@@ -132,7 +140,8 @@ void RunReader(LiveDatabase& live, const ExampleTable& et, int reader,
 /// `keep` samples are recorded (the rest still race the writer).
 void RunReaderUntil(LiveDatabase& live, const ExampleTable& et, int reader,
                     const std::atomic<bool>& done, size_t keep,
-                    std::mutex& mu, std::vector<Sample>& samples) {
+                    std::mutex& mu, std::vector<Sample>& samples,
+                    std::atomic<bool>& sampled) {
   for (size_t i = 0; !done.load(); ++i) {
     DbVersion pin = live.Pin();
     DiscoveryResult result = DiscoverQueries(pin.view(), et, {}, pin.epoch);
@@ -140,6 +149,7 @@ void RunReaderUntil(LiveDatabase& live, const ExampleTable& et, int reader,
     if (i >= keep) continue;
     std::lock_guard<std::mutex> lock(mu);
     samples.push_back({std::move(pin), reader, Canon(result)});
+    sampled.store(true);
   }
 }
 
@@ -183,15 +193,22 @@ TEST_F(IngestConcurrencyTest, DiscoveryPinsBitIdenticalEpochsDuringAppends) {
   ASSERT_GE(customer, 0);
   ASSERT_GE(sales, 0);
 
+  // The writer runs 45 ops, then keeps going until some reader has taken
+  // a sample, so the settled end state is a later epoch than that sample.
+  // Bounded in ops, so a run that never overlaps fails instead of hanging.
   std::atomic<bool> failed{false};
+  std::atomic<bool> sampled{false};
   std::mutex mu;
   std::vector<Sample> samples;
-  std::thread writer(
-      [&] { RunWriter(live, customer, sales, 45, false, failed); });
+  std::thread writer([&] {
+    RunWriter(live, customer, sales, 20000, /*min_ops=*/45, false, failed,
+              [&] { return sampled.load(); });
+  });
   std::vector<std::thread> readers;
   for (int reader = 0; reader < kReaders; ++reader) {
-    readers.emplace_back(
-        [&, reader] { RunReader(live, et, reader, 8, mu, samples); });
+    readers.emplace_back([&, reader] {
+      RunReader(live, et, reader, 8, mu, samples, &sampled);
+    });
   }
   writer.join();
   for (std::thread& t : readers) t.join();
@@ -211,12 +228,20 @@ TEST_F(IngestConcurrencyTest, CompactionRacesDiscoveryWithoutTearingPins) {
   const int customer = v0.base->RelationIdByName("Customer");
   const int sales = v0.base->RelationIdByName("Sales");
 
+  // The writer runs 45 ops, then keeps going until some Compact has
+  // completed while it was writing and some reader has taken a sample:
+  // the compactor loop below then runs at least once, and the settled end
+  // state is a later epoch than that sample. Bounded in ops, so a run that
+  // never overlaps fails instead of hanging.
   std::atomic<bool> failed{false};
+  std::atomic<bool> sampled{false};
+  std::atomic<bool> compacted{false};
   std::atomic<bool> done{false};
   std::mutex mu;
   std::vector<Sample> samples;
   std::thread writer([&] {
-    RunWriter(live, customer, sales, 45, true, failed);
+    RunWriter(live, customer, sales, 20000, /*min_ops=*/45, true, failed,
+              [&] { return compacted.load() && sampled.load(); });
     done.store(true);
   });
   // The compactor repeatedly folds whatever overlay exists mid-stream.
@@ -231,14 +256,16 @@ TEST_F(IngestConcurrencyTest, CompactionRacesDiscoveryWithoutTearingPins) {
         return;
       }
       ++compactions;
+      compacted.store(true);
       std::this_thread::yield();
     }
     EXPECT_GT(compactions, 0);
   });
   std::vector<std::thread> readers;
   for (int reader = 0; reader < kReaders; ++reader) {
-    readers.emplace_back(
-        [&, reader] { RunReader(live, et, reader, 8, mu, samples); });
+    readers.emplace_back([&, reader] {
+      RunReader(live, et, reader, 8, mu, samples, &sampled);
+    });
   }
   writer.join();
   compactor.join();
@@ -270,9 +297,10 @@ TEST_F(IngestConcurrencyTest, BackgroundFoldsRebaseTailsWhileReadersPin) {
   const int customer = v0.base->RelationIdByName("Customer");
   const int sales = v0.base->RelationIdByName("Sales");
 
-  // The writer runs until some fold has installed a non-empty tail: ops
-  // committed between the fold's pin and its install. Bounded in ops, so
-  // a run that never overlaps fails instead of hanging.
+  // The writer runs until some fold has installed a non-empty tail (ops
+  // committed between the fold's pin and its install) and some reader has
+  // taken a sample. Bounded in ops, so a run that never overlaps fails
+  // instead of hanging.
   std::atomic<bool> tail_seen{false};
   std::atomic<int> folds{0};
   Compactor::Options options;
@@ -288,17 +316,19 @@ TEST_F(IngestConcurrencyTest, BackgroundFoldsRebaseTailsWhileReadersPin) {
   Compactor compactor(&live, options);
 
   std::atomic<bool> failed{false};
+  std::atomic<bool> sampled{false};
   std::atomic<bool> done{false};
   std::mutex mu;
   std::vector<Sample> samples;
   std::thread writer([&] {
-    RunWriter(live, customer, sales, 20000, true, failed, &tail_seen);
+    RunWriter(live, customer, sales, 20000, /*min_ops=*/0, true, failed,
+              [&] { return tail_seen.load() && sampled.load(); });
     done.store(true);
   });
   std::vector<std::thread> readers;
   for (int reader = 0; reader < kReaders; ++reader) {
     readers.emplace_back([&, reader] {
-      RunReaderUntil(live, et, reader, done, 12, mu, samples);
+      RunReaderUntil(live, et, reader, done, 12, mu, samples, sampled);
     });
   }
   writer.join();
