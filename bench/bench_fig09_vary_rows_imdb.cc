@@ -224,8 +224,9 @@ int RunKernelAb(const BenchArgs& args) {
 }  // namespace qbe
 
 int main(int argc, char** argv) {
-  qbe::BenchArgs args = qbe::ParseBenchArgs(argc, argv, /*default_ets=*/50,
-                                            /*default_scale=*/1.0);
+  qbe::BenchArgs args = qbe::ParseBenchArgs(
+      argc, argv, /*default_ets=*/50, /*default_scale=*/1.0,
+      qbe::kJsonOutput | qbe::kKernelAbOutput);
   if (!args.kernel_ab_path.empty()) return qbe::RunKernelAb(args);
   qbe::Bundle bundle =
       qbe::MakeBundle(qbe::DatasetKind::kImdb, args.scale, args.seed);

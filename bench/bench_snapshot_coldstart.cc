@@ -55,8 +55,9 @@ uint64_t DirectoryBytes(const std::filesystem::path& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  qbe::BenchArgs args = qbe::ParseBenchArgs(argc, argv, /*default_ets=*/4,
-                                            /*default_scale=*/0.5);
+  qbe::BenchArgs args =
+      qbe::ParseBenchArgs(argc, argv, /*default_ets=*/4,
+                          /*default_scale=*/0.5, qbe::kJsonOutput);
 
   const std::filesystem::path work =
       std::filesystem::temp_directory_path() /

@@ -34,6 +34,7 @@ void RowPredicatesInto(const CandidateQuery& query, const ExampleTable& et,
     pred.column = query.projection[c];
     pred.tokens = et.CellTokens(row, c);
     pred.exact = cell.exact;
+    pred.fingerprint = et.CellFingerprint(row, c);
     if (et_ids != nullptr) {
       pred.ids = et_ids->CellIds(row, c);
     } else {

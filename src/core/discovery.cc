@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_map>
 
 #include "core/filter_verifier.h"
 #include "core/simple_prune.h"
@@ -16,27 +17,75 @@
 namespace qbe {
 namespace {
 
+/// RankScore's integer operands for one request. A cell's match count
+/// depends only on (projection column, ET row, ET column) and a live-row
+/// count only on the relation, so each is counted once per request
+/// however many valid queries share it. Match and live-row counts are
+/// integers summed over the views (exact: the views partition the rows).
+class RankCounts {
+ public:
+  RankCounts(std::span<const DbView> views,
+             const std::vector<EtTokenIds>& et_ids, const ExampleTable& et)
+      : views_(views),
+        et_ids_(et_ids),
+        et_(et),
+        live_rows_(views[0].base().num_relations(), kUncounted) {}
+
+  uint64_t LiveRows(int rel) {
+    uint64_t& rows = live_rows_[rel];
+    if (rows == kUncounted) {
+      rows = 0;
+      for (const DbView& view : views_) rows += view.LiveRows(rel);
+    }
+    return rows;
+  }
+
+  uint64_t Matches(const ColumnRef& col, int row, int et_col) {
+    std::vector<uint64_t>& cells =
+        matches_[uint64_t{static_cast<uint32_t>(col.rel)} << 32 |
+                 static_cast<uint32_t>(col.col)];
+    if (cells.empty()) {
+      cells.assign(static_cast<size_t>(et_.num_rows()) * et_.num_columns(),
+                   kUncounted);
+    }
+    uint64_t& matches = cells[static_cast<size_t>(row) * et_.num_columns() +
+                              et_col];
+    if (matches == kUncounted) {
+      matches = 0;
+      for (size_t v = 0; v < views_.size(); ++v) {
+        matches += views_[v].MatchCount(col, et_ids_[v].CellIds(row, et_col));
+      }
+    }
+    return matches;
+  }
+
+ private:
+  static constexpr uint64_t kUncounted = ~uint64_t{0};
+
+  std::span<const DbView> views_;
+  const std::vector<EtTokenIds>& et_ids_;
+  const ExampleTable& et_;
+  std::vector<uint64_t> live_rows_;  // by relation
+  /// By projection column (rel << 32 | col): one count per ET cell,
+  /// row-major.
+  std::unordered_map<uint64_t, std::vector<uint64_t>> matches_;
+};
+
 /// Ranking score (§8 future work): prefer fewer joins (simpler
 /// explanations) and more selective projection columns (mappings where the
 /// ET values pin down few base rows are likelier to reflect user intent).
-/// Match and live-row counts are integers summed over the views first
-/// (exact: the views partition the rows), so every partition of the data
-/// feeds the same operands to the same double arithmetic.
-double RankScore(std::span<const DbView> views,
-                 const std::vector<EtTokenIds>& et_ids,
-                 const ExampleTable& et, const CandidateQuery& query) {
+/// The counts are the same integers for every partition of the data, so
+/// every partition feeds the same operands to the same double arithmetic.
+double RankScore(RankCounts& counts, const ExampleTable& et,
+                 const CandidateQuery& query) {
   double selectivity_sum = 0.0;
   int cells = 0;
   for (int c = 0; c < et.num_columns(); ++c) {
     const ColumnRef& col = query.projection[c];
-    uint64_t live_rows = 0;
-    for (const DbView& view : views) live_rows += view.LiveRows(col.rel);
+    const uint64_t live_rows = counts.LiveRows(col.rel);
     for (int r = 0; r < et.num_rows(); ++r) {
       if (et.cell(r, c).IsEmpty()) continue;
-      size_t matches = 0;
-      for (size_t v = 0; v < views.size(); ++v) {
-        matches += views[v].MatchCount(col, et_ids[v].CellIds(r, c));
-      }
+      const uint64_t matches = counts.Matches(col, r, c);
       selectivity_sum += live_rows == 0
                              ? 0.0
                              : static_cast<double>(matches) /
@@ -245,10 +294,20 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
   // view and legitimately differs from one view's, unlike the verification
   // counters above.
   probes.AddCacheCounters(&result.counters);
+  // The request's shared-cache traffic reaches the cache's totals in one
+  // step, not one shared update per lookup.
+  if (options.cache != nullptr) {
+    options.cache->AddTraffic(result.counters.eval_cache_hits,
+                              result.counters.eval_cache_lookups);
+  }
   if (trace != nullptr) {
     trace->CloseSpan(verify_span);
     trace->Count(TraceCounter::kQueriesVerified,
                  result.counters.verifications);
+    trace->Count(TraceCounter::kEvalCacheHits,
+                 result.counters.eval_cache_hits);
+    trace->Count(TraceCounter::kEvalCacheLookups,
+                 result.counters.eval_cache_lookups);
     trace->Count(TraceCounter::kMatchCacheHits,
                  result.counters.match_cache_hits);
     trace->Count(TraceCounter::kMatchCacheLookups,
@@ -268,6 +327,7 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
   std::vector<std::string> labels;
   for (int c = 0; c < et.num_columns(); ++c)
     labels.push_back(et.column_name(c));
+  RankCounts rank_counts(views, et_ids, et);
   for (size_t q = 0; q < candidates.size(); ++q) {
     if (!keep[q]) continue;
     DiscoveredQuery out;
@@ -276,7 +336,7 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
                                    candidates[q].projection, labels);
     out.matched_rows = matched[q];
     out.score = options.rank_results
-                    ? RankScore(views, et_ids, et, candidates[q])
+                    ? RankScore(rank_counts, et, candidates[q])
                     : 0.0;
     result.queries.push_back(std::move(out));
   }

@@ -14,6 +14,13 @@ ExampleTable::ExampleTable(std::vector<std::string> column_names)
                 "example tables are limited to 32 columns");
 }
 
+Hash128 PhraseFingerprint(const std::vector<std::string>& tokens) {
+  Hasher128 hasher;
+  hasher.Add(tokens.size());
+  for (const std::string& token : tokens) hasher.AddBytes(token);
+  return hasher.Finish();
+}
+
 ExampleTable ExampleTable::WithColumns(int n) {
   return ExampleTable(std::vector<std::string>(n));
 }
@@ -28,14 +35,18 @@ void ExampleTable::AddRow(const std::vector<std::string>& cells) {
 void ExampleTable::AddRowCells(std::vector<EtCell> cells) {
   QBE_CHECK(cells.size() == column_names_.size());
   std::vector<std::vector<std::string>> row_tokens;
+  std::vector<Hash128> row_fingerprints;
   uint32_t mask = 0;
   row_tokens.reserve(cells.size());
+  row_fingerprints.reserve(cells.size());
   for (size_t c = 0; c < cells.size(); ++c) {
     row_tokens.push_back(Tokenize(cells[c].text));
+    row_fingerprints.push_back(PhraseFingerprint(row_tokens.back()));
     if (!cells[c].IsEmpty()) mask |= uint32_t{1} << c;
   }
   rows_.push_back(std::move(cells));
   tokens_.push_back(std::move(row_tokens));
+  fingerprints_.push_back(std::move(row_fingerprints));
   nonempty_masks_.push_back(mask);
 }
 

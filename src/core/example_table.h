@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "text/token_dict.h"
+#include "util/hash128.h"
 
 namespace qbe {
 
@@ -50,6 +51,10 @@ class ExampleTable {
   const std::vector<std::string>& CellTokens(int row, int col) const {
     return tokens_[row][col];
   }
+  /// PhraseFingerprint(CellTokens(row, col)), computed at insertion.
+  const Hash128& CellFingerprint(int row, int col) const {
+    return fingerprints_[row][col];
+  }
 
   const std::string& column_name(int col) const { return column_names_[col]; }
 
@@ -71,8 +76,15 @@ class ExampleTable {
   std::vector<std::string> column_names_;
   std::vector<std::vector<EtCell>> rows_;
   std::vector<std::vector<std::vector<std::string>>> tokens_;
+  std::vector<std::vector<Hash128>> fingerprints_;
   std::vector<uint32_t> nonempty_masks_;
 };
+
+/// 128-bit hash of a token sequence (token count, then each token's length
+/// and bytes). It reads only the token strings, never dictionary ids, so
+/// one phrase has one fingerprint over every view, shard and dictionary:
+/// the eval-cache key's phrase component (DESIGN.md §8).
+Hash128 PhraseFingerprint(const std::vector<std::string>& tokens);
 
 /// Every ET cell's tokens resolved against one database's TokenDict, built
 /// once per discovery request. Predicates constructed from these carry id

@@ -55,6 +55,7 @@ void FilterPredicatesInto(const Filter& filter, const ExampleTable& et,
     pred.column = filter.phi[c];
     pred.tokens = et.CellTokens(filter.row, c);
     pred.exact = et.cell(filter.row, c).exact;
+    pred.fingerprint = et.CellFingerprint(filter.row, c);
     if (et_ids != nullptr) {
       pred.ids = et_ids->CellIds(filter.row, c);
     } else {

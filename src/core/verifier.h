@@ -2,13 +2,12 @@
 #define QBE_CORE_VERIFIER_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/candidate_query.h"
+#include "core/eval_cache.h"
 #include "core/example_table.h"
 #include "core/filter.h"
 #include "exec/executor.h"
@@ -50,6 +49,10 @@ struct VerificationCounters {
   /// the cache.
   int64_t match_cache_hits = 0;
   int64_t match_cache_lookups = 0;
+  /// Shared outcome-cache (EvalCacheBase) traffic, tallied per request and
+  /// added to the cache's own totals once when the request ends.
+  int64_t eval_cache_hits = 0;
+  int64_t eval_cache_lookups = 0;
 
   void Add(const VerificationCounters& other) {
     verifications += other.verifications;
@@ -64,6 +67,8 @@ struct VerificationCounters {
     subtree_memo_lookups += other.subtree_memo_lookups;
     match_cache_hits += other.match_cache_hits;
     match_cache_lookups += other.match_cache_lookups;
+    eval_cache_hits += other.eval_cache_hits;
+    eval_cache_lookups += other.eval_cache_lookups;
   }
 
   double SubtreeMemoHitRate() const {
@@ -72,75 +77,6 @@ struct VerificationCounters {
                : static_cast<double>(subtree_memo_hits) /
                      static_cast<double>(subtree_memo_lookups);
   }
-};
-
-/// Cross-run cache of verification outcomes. A filter's result is fully
-/// determined by its join tree and predicate set (the ET row is only a
-/// source of predicate values), so outcomes can be reused across reruns,
-/// across incremental discovery steps (DiscoverySession: adding a new ET
-/// row leaves every prior row's evaluations valid), and across concurrent
-/// requests over the same database (§5's filter sharing, lifted from one
-/// run to the whole serving process).
-///
-/// Implementations: EvalCache below (single-threaded), and
-/// ConcurrentEvalCache in src/service/concurrent_eval_cache.h (sharded,
-/// thread-safe, shared by DiscoveryService workers).
-class EvalCacheBase {
- public:
-  virtual ~EvalCacheBase() = default;
-
-  /// The cached outcome for `key`, or nullopt. A found entry counts as a
-  /// hit; every call counts as a lookup.
-  virtual std::optional<bool> Lookup(const std::string& key) = 0;
-
-  virtual void Insert(const std::string& key, bool outcome) = 0;
-
-  /// Lookups served from the cache / total lookups / entries stored.
-  virtual int64_t hits() const = 0;
-  virtual int64_t lookups() const = 0;
-  virtual size_t size() const = 0;
-};
-
-/// Single-threaded EvalCacheBase backed by one unordered_map. NOT
-/// thread-safe: its reuse contract is one thread at a time, enforced in
-/// debug builds by a thread-affinity check (first use pins the owning
-/// thread). Concurrent sessions must share a ConcurrentEvalCache instead.
-class EvalCache : public EvalCacheBase {
- public:
-  std::optional<bool> Lookup(const std::string& key) override {
-    CheckAffinity();
-    ++lookups_;
-    auto it = outcomes_.find(key);
-    if (it == outcomes_.end()) return std::nullopt;
-    ++hits_;
-    return it->second;
-  }
-
-  void Insert(const std::string& key, bool outcome) override {
-    CheckAffinity();
-    outcomes_.emplace(key, outcome);
-  }
-
-  int64_t hits() const override { return hits_; }
-  int64_t lookups() const override { return lookups_; }
-  size_t size() const override { return outcomes_.size(); }
-
- private:
-  void CheckAffinity() const {
-#ifndef NDEBUG
-    if (owner_ == std::thread::id()) owner_ = std::this_thread::get_id();
-    QBE_CHECK_MSG(owner_ == std::this_thread::get_id(),
-                  "EvalCache used from a second thread; share a "
-                  "ConcurrentEvalCache across threads instead");
-#endif
-  }
-
-  std::unordered_map<std::string, bool> outcomes_;
-  int64_t hits_ = 0;
-  int64_t lookups_ = 0;
-#ifndef NDEBUG
-  mutable std::thread::id owner_;
-#endif
 };
 
 /// Everything a verification algorithm needs; all references must outlive
@@ -169,9 +105,9 @@ struct VerifyContext {
   /// vectors and the executor skips all per-call token resolution.
   const EtTokenIds* et_ids = nullptr;
   /// Epoch of the pinned data version when verifying over a live database
-  /// (DESIGN.md §12). 0 = the plain immutable database. Nonzero epochs
-  /// prefix every eval-cache key so outcomes never leak across versions
-  /// whose data differs.
+  /// (DESIGN.md §12). 0 = the plain immutable database. The epoch is part
+  /// of every eval-cache key, so outcomes never leak across versions whose
+  /// data differs.
   uint64_t data_epoch = 0;
   /// Optional request trace (obs/trace.h); EvalEngine records cache-lookup
   /// and execution spans into it. Observation-only — never changes
@@ -209,11 +145,6 @@ class EvalEngine {
   /// allocation of the verify hot path.
   std::vector<PhrasePredicate> preds_scratch_;
 };
-
-/// Canonical cache key for an existence query: join-tree identity plus the
-/// sorted predicate set. Exposed for tests.
-std::string EvalCacheKey(const Database& db, const JoinTree& tree,
-                         const std::vector<PhrasePredicate>& predicates);
 
 /// Returns row indices in the requested order (deterministic given `seed`).
 std::vector<int> MakeRowOrder(const ExampleTable& et, RowOrder order,

@@ -8,27 +8,6 @@
 
 namespace qbe {
 
-std::string EvalCacheKey(const Database& db, const JoinTree& tree,
-                         const std::vector<PhrasePredicate>& predicates) {
-  std::string key;
-  tree.verts.ForEach([&](int v) { key += 'v' + std::to_string(v); });
-  tree.edges.ForEach([&](int e) { key += 'e' + std::to_string(e); });
-  std::vector<std::string> parts;
-  parts.reserve(predicates.size());
-  for (const PhrasePredicate& pred : predicates) {
-    std::string part =
-        std::to_string(db.TextColumnGid(pred.column)) + (pred.exact ? "!" : ":");
-    for (const std::string& token : pred.tokens) part += token + ' ';
-    parts.push_back(std::move(part));
-  }
-  std::sort(parts.begin(), parts.end());
-  for (const std::string& part : parts) {
-    key += '|';
-    key += part;
-  }
-  return key;
-}
-
 bool EvalEngine::Execute(const JoinTree& tree,
                          const std::vector<PhrasePredicate>& predicates,
                          int cost) {
@@ -49,26 +28,21 @@ bool EvalEngine::Execute(const JoinTree& tree,
     return ctx_.probes.Exists(tree, predicates, ctx_.trace, exec_span.ref());
   };
   if (ctx_.cache != nullptr) {
-    std::string key = EvalCacheKey(ctx_.db, tree, predicates);
-    // Outcomes are only reusable within one data version: epoch 0 (the
-    // plain database) keeps the historical key shape, any pinned live
-    // epoch gets its own namespace so appends/tombstones can never serve
-    // a stale cached answer.
-    if (ctx_.data_epoch != 0) {
-      key.insert(0, '@' + std::to_string(ctx_.data_epoch) + '#');
+    EvalCacheKey key;
+    {
+      ScopedSpan key_span(ctx_.trace, SpanKind::kEvalCacheKey);
+      key = MakeEvalCacheKey(ctx_.db, tree, predicates, ctx_.data_epoch);
     }
     std::optional<bool> cached;
     {
       ScopedSpan lookup_span(ctx_.trace, SpanKind::kEvalCacheLookup);
-      cached = ctx_.cache->Lookup(key);
+      cached = ctx_.cache->Find(key);
     }
-    if (ctx_.trace != nullptr) {
-      ctx_.trace->Count(TraceCounter::kEvalCacheLookups, 1);
-      if (cached.has_value()) {
-        ctx_.trace->Count(TraceCounter::kEvalCacheHits, 1);
-      }
+    counters_->eval_cache_lookups += 1;
+    if (cached.has_value()) {
+      counters_->eval_cache_hits += 1;
+      return *cached;
     }
-    if (cached.has_value()) return *cached;
     bool ok = run_exec();
     ctx_.cache->Insert(key, ok);
     return ok;

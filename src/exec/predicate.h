@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "storage/database.h"
+#include "util/hash128.h"
 
 namespace qbe {
 
@@ -20,11 +21,17 @@ namespace qbe {
 /// (position-aligned, TokenDict::kNoToken for unindexed tokens). The
 /// executor uses the ids directly when present and falls back to a per-call
 /// dictionary lookup otherwise, so hand-built predicates keep working.
+///
+/// `fingerprint` optionally carries PhraseFingerprint(tokens)
+/// (core/example_table.h), computed once per ET cell; the eval-cache key
+/// reads it instead of re-hashing the token strings. All-zero means unset,
+/// and the key builder then hashes `tokens` itself.
 struct PhrasePredicate {
   ColumnRef column;
   std::vector<std::string> tokens;
   bool exact = false;
   std::vector<uint32_t> ids;
+  Hash128 fingerprint;
 };
 
 }  // namespace qbe

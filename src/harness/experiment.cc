@@ -1,9 +1,11 @@
 #include "harness/experiment.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 #include "core/filter_verifier.h"
 #include "core/simple_prune.h"
@@ -283,27 +285,66 @@ void WriteSweepJson(const std::string& path, const std::string& title,
   std::fclose(f);
 }
 
+namespace {
+
+[[noreturn]] void BenchUsage(const char* prog, unsigned outputs,
+                             const std::string& why) {
+  std::fprintf(stderr,
+               "%s: %s\nusage: %s [--ets=N] [--scale=X] [--seed=N]%s%s\n",
+               prog, why.c_str(), prog,
+               (outputs & kJsonOutput) != 0 ? " [--json=PATH]" : "",
+               (outputs & kKernelAbOutput) != 0 ? " [--kernel-ab=PATH]" : "");
+  std::exit(2);
+}
+
+/// Parses all of `text` as a T; false on any leftover or malformed input.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 BenchArgs ParseBenchArgs(int argc, char** argv, int default_ets,
-                         double default_scale) {
+                         double default_scale, unsigned outputs) {
   BenchArgs args;
   args.ets_per_point = default_ets;
   args.scale = default_scale;
+  const char* prog = argc > 0 ? argv[0] : "bench";
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--ets=", 6) == 0) {
-      args.ets_per_point = std::atoi(arg + 6);
-    } else if (std::strncmp(arg, "--scale=", 8) == 0) {
-      args.scale = std::atof(arg + 8);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      args.seed = static_cast<uint64_t>(std::atoll(arg + 7));
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      args.json_path = arg + 7;
-    } else if (std::strncmp(arg, "--kernel-ab=", 12) == 0) {
-      args.kernel_ab_path = arg + 12;
+    const std::string_view arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string_view flag = arg.substr(0, eq);
+    const std::string_view value =
+        eq == std::string_view::npos ? std::string_view() : arg.substr(eq + 1);
+    const auto bad_value = [&] {
+      BenchUsage(prog, outputs, "bad value in '" + std::string(arg) + "'");
+    };
+    if (eq == std::string_view::npos) {
+      BenchUsage(prog, outputs, "unknown flag '" + std::string(arg) + "'");
+    } else if (flag == "--ets") {
+      if (!ParseWhole(value, &args.ets_per_point) || args.ets_per_point <= 0) {
+        bad_value();
+      }
+    } else if (flag == "--scale") {
+      if (!ParseWhole(value, &args.scale) || !std::isfinite(args.scale) ||
+          args.scale <= 0) {
+        bad_value();
+      }
+    } else if (flag == "--seed") {
+      if (!ParseWhole(value, &args.seed)) bad_value();
+    } else if (flag == "--json" && (outputs & kJsonOutput) != 0) {
+      if (value.empty()) bad_value();
+      args.json_path = value;
+    } else if (flag == "--kernel-ab" && (outputs & kKernelAbOutput) != 0) {
+      if (value.empty()) bad_value();
+      args.kernel_ab_path = value;
+    } else {
+      BenchUsage(prog, outputs, "unknown flag '" + std::string(arg) + "'");
     }
   }
-  QBE_CHECK(args.ets_per_point > 0);
-  QBE_CHECK(args.scale > 0);
   return args;
 }
 

@@ -83,10 +83,11 @@ ExperimentPoint RunPoint(const Bundle& bundle,
                          int max_join_length, uint64_t seed);
 
 /// Common CLI arguments for the bench binaries:
-///   --ets=N       ETs per sweep point (default per bench)
-///   --scale=X     dataset scale factor
+///   --ets=N       ETs per sweep point (default per bench), N > 0
+///   --scale=X     dataset scale factor, X > 0
 ///   --seed=N      master seed
-///   --json=P      also write the sweep as machine-readable JSON to path P
+/// and, only in the benches that write them (see BenchOutput):
+///   --json=P      also write the run as machine-readable JSON to path P
 ///   --kernel-ab=P benches that support it (bench_fig09_vary_rows_imdb) run
 ///                 the SIMD kernel A/B instead of the default sweep: the
 ///                 same instances under every supported dispatch level
@@ -101,8 +102,19 @@ struct BenchArgs {
   std::string kernel_ab_path;  // empty: normal sweep, no kernel A/B
 };
 
+/// Output flags a bench accepts beyond --ets/--scale/--seed (bitmask).
+enum BenchOutput : unsigned {
+  kNoBenchOutput = 0,
+  kJsonOutput = 1u << 0,      // --json=P
+  kKernelAbOutput = 1u << 1,  // --kernel-ab=P
+};
+
+/// Parses the bench command line. An unknown flag, a flag outside
+/// `outputs`, or a malformed or out-of-range value prints the reason and a
+/// usage line to stderr and exits with status 2.
 BenchArgs ParseBenchArgs(int argc, char** argv, int default_ets,
-                         double default_scale);
+                         double default_scale,
+                         unsigned outputs = kNoBenchOutput);
 
 /// Prints a parameter sweep in the paper's two-panel style: one table for
 /// the number of verifications (and candidates/valid counts) and one for

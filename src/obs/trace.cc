@@ -61,6 +61,7 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kRelaxedVerify: return "verify:relaxed";
     case SpanKind::kRank: return "rank";
     case SpanKind::kEvalExec: return "eval_exec";
+    case SpanKind::kEvalCacheKey: return "cache_key";
     case SpanKind::kEvalCacheLookup: return "eval_cache_lookup";
     case SpanKind::kTextMatch: return "text_match";
     case SpanKind::kWalAppend: return "wal_append";

@@ -48,6 +48,7 @@ enum class SpanKind : uint8_t {
   kRelaxedVerify,    // min_row_support >= 0 row-counting path
   kRank,             // result ranking + SQL rendering
   kEvalExec,         // one executed existence query (eval-cache miss)
+  kEvalCacheKey,     // building one existence query's eval-cache key
   kEvalCacheLookup,  // shared verification-outcome cache probe
   kTextMatch,        // phrase/exact matching inside one SeedNode
   kWalAppend,        // ingest: one WAL-logged mutation commit

@@ -1,25 +1,10 @@
 #include "service/concurrent_eval_cache.h"
 
-#include <functional>
 #include <utility>
 
 #include "util/check.h"
 
 namespace qbe {
-namespace {
-
-/// Heap bytes one entry costs beyond its key's characters: the hash node
-/// (next pointer, key string object, outcome, cached hash) and its share
-/// of the bucket array.
-constexpr size_t kEntryOverhead = sizeof(void*) +
-                                  sizeof(std::pair<const std::string, bool>) +
-                                  sizeof(size_t) + sizeof(void*);
-
-size_t EntryBytes(const std::string& key) {
-  return key.capacity() + kEntryOverhead;
-}
-
-}  // namespace
 
 ConcurrentEvalCache::ConcurrentEvalCache(size_t num_shards) {
   QBE_CHECK(num_shards > 0);
@@ -30,51 +15,49 @@ ConcurrentEvalCache::ConcurrentEvalCache(size_t num_shards) {
 }
 
 ConcurrentEvalCache::Shard& ConcurrentEvalCache::ShardFor(
-    const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
+    const EvalCacheKey& key) {
+  // The key is a uniform hash: its high word picks the shard (multiply-
+  // shift range reduction) and its low word the slot within the shard's
+  // tables, so the two choices use disjoint bits.
+  const size_t shard = static_cast<size_t>(
+      (static_cast<unsigned __int128>(key.hi) * shards_.size()) >> 64);
+  return *shards_[shard];
 }
 
-std::unordered_map<std::string, bool>::iterator
-ConcurrentEvalCache::Shard::Promote(const std::string& key) {
-  auto old = previous.outcomes.find(key);
-  if (old == previous.outcomes.end()) return current.outcomes.end();
-  const size_t entry_bytes = EntryBytes(old->first);
-  previous.bytes -= entry_bytes;
-  current.bytes += entry_bytes;
-  return current.outcomes.insert(previous.outcomes.extract(old)).position;
+std::optional<bool> ConcurrentEvalCache::Shard::Promote(
+    const EvalCacheKey& key) {
+  std::optional<bool> outcome = previous.Take(key);
+  if (outcome.has_value()) current.Insert(key, *outcome);
+  return outcome;
 }
 
-std::optional<bool> ConcurrentEvalCache::Lookup(const std::string& key) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+std::optional<bool> ConcurrentEvalCache::Find(const EvalCacheKey& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.current.outcomes.find(key);
-  if (it == shard.current.outcomes.end()) it = shard.Promote(key);
-  if (it == shard.current.outcomes.end()) return std::nullopt;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  std::optional<bool> outcome = shard.current.Find(key);
+  if (!outcome.has_value()) outcome = shard.Promote(key);
+  return outcome;
 }
 
-void ConcurrentEvalCache::Insert(const std::string& key, bool outcome) {
+void ConcurrentEvalCache::Insert(const EvalCacheKey& key, bool outcome) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   // A key held by previous is never also in current, so checking previous
   // first keeps one entry per key.
-  if (shard.Promote(key) != shard.current.outcomes.end()) return;
-  auto [it, inserted] = shard.current.outcomes.try_emplace(key, outcome);
-  if (inserted) shard.current.bytes += EntryBytes(it->first);
+  if (shard.Promote(key).has_value()) return;
+  shard.current.Insert(key, outcome);
 }
 
 void ConcurrentEvalCache::StartGeneration() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    Generation dropped;
+    OutcomeTable dropped;
     {
       std::lock_guard<std::mutex> lock(shard->mu);
       dropped = std::move(shard->previous);
       shard->previous = std::move(shard->current);
-      shard->current = Generation{};
+      shard->current = OutcomeTable{};
     }
-    // `dropped` frees its entries here, outside the shard lock.
+    // `dropped` frees its slots here, outside the shard lock.
   }
 }
 
@@ -82,7 +65,7 @@ size_t ConcurrentEvalCache::size() const {
   size_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->current.outcomes.size() + shard->previous.outcomes.size();
+    total += shard->current.size() + shard->previous.size();
   }
   return total;
 }
@@ -91,7 +74,7 @@ size_t ConcurrentEvalCache::bytes() const {
   size_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->current.bytes + shard->previous.bytes;
+    total += shard->current.bytes() + shard->previous.bytes();
   }
   return total;
 }

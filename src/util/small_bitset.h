@@ -110,6 +110,12 @@ class SmallBitset {
     return true;
   }
 
+  /// The `i`-th 64-bit word (bits 64*i .. 64*i+63).
+  uint64_t word(int i) const {
+    QBE_DCHECK(i >= 0 && i < kWords);
+    return words_[i];
+  }
+
   size_t Hash() const {
     size_t h = 0xcbf29ce484222325ULL;
     for (uint64_t w : words_) {

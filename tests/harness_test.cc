@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "harness/table_printer.h"
 
@@ -47,6 +48,35 @@ TEST(BenchArgsTest, Overrides) {
   EXPECT_EQ(args.ets_per_point, 10);
   EXPECT_DOUBLE_EQ(args.scale, 0.25);
   EXPECT_EQ(args.seed, 99u);
+}
+
+TEST(BenchArgsTest, OutputPathsOnlyWhereAccepted) {
+  char prog[] = "bench";
+  char json[] = "--json=out.json";
+  char kernel_ab[] = "--kernel-ab=ab.json";
+  char* argv[] = {prog, json, kernel_ab};
+  BenchArgs args =
+      ParseBenchArgs(3, argv, 50, 1.0, kJsonOutput | kKernelAbOutput);
+  EXPECT_EQ(args.json_path, "out.json");
+  EXPECT_EQ(args.kernel_ab_path, "ab.json");
+  EXPECT_EXIT(ParseBenchArgs(2, argv, 50, 1.0),
+              ::testing::ExitedWithCode(2), "unknown flag '--json=out.json'");
+  EXPECT_EXIT(ParseBenchArgs(3, argv, 50, 1.0, kJsonOutput),
+              ::testing::ExitedWithCode(2), "unknown flag '--kernel-ab=");
+}
+
+TEST(BenchArgsTest, UnknownFlagsAndMalformedNumbersExitWithUsage) {
+  const char* bad[] = {"--bogus-flag", "--ets=abc", "--ets=0", "--ets=5x",
+                       "--scale=0",    "--scale=-1", "--scale=nan",
+                       "--seed=-3",    "--seed=",    "--ets",  "-ets=3"};
+  for (const char* flag : bad) {
+    char prog[] = "bench";
+    std::string arg = flag;
+    char* argv[] = {prog, arg.data()};
+    EXPECT_EXIT(ParseBenchArgs(2, argv, 50, 1.0),
+                ::testing::ExitedWithCode(2), "usage: bench ")
+        << flag;
+  }
 }
 
 TEST(ExperimentTest, AlgoNamesStable) {

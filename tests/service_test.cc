@@ -79,14 +79,21 @@ void StressAndCompare(DiscoveryService& service,
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+/// A cache key named by a string, for tests that only need distinct keys.
+EvalCacheKey Key(const std::string& name) {
+  Hasher128 hasher;
+  hasher.AddBytes(name);
+  return hasher.Finish();
+}
+
 TEST(ConcurrentEvalCacheTest, LookupAndInsert) {
   ConcurrentEvalCache cache(4);
-  EXPECT_FALSE(cache.Lookup("k1").has_value());
-  cache.Insert("k1", true);
-  cache.Insert("k2", false);
-  ASSERT_TRUE(cache.Lookup("k1").has_value());
-  EXPECT_TRUE(*cache.Lookup("k1"));
-  EXPECT_FALSE(*cache.Lookup("k2"));
+  EXPECT_FALSE(cache.Lookup(Key("k1")).has_value());
+  cache.Insert(Key("k1"), true);
+  cache.Insert(Key("k2"), false);
+  ASSERT_TRUE(cache.Lookup(Key("k1")).has_value());
+  EXPECT_TRUE(*cache.Lookup(Key("k1")));
+  EXPECT_FALSE(*cache.Lookup(Key("k2")));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.lookups(), 4);
   EXPECT_EQ(cache.hits(), 3);
@@ -97,9 +104,9 @@ TEST(ConcurrentEvalCacheTest, FirstInsertWinsLikeSingleThreaded) {
   // emplace semantics: a duplicate insert must not overwrite — outcomes
   // are deterministic anyway, but the contract matches EvalCache.
   ConcurrentEvalCache cache(2);
-  cache.Insert("k", true);
-  cache.Insert("k", false);
-  EXPECT_TRUE(*cache.Lookup("k"));
+  cache.Insert(Key("k"), true);
+  cache.Insert(Key("k"), false);
+  EXPECT_TRUE(*cache.Lookup(Key("k")));
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -110,11 +117,11 @@ TEST(ConcurrentEvalCacheTest, ConcurrentMixedUseKeepsEveryOutcome) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < 500; ++i) {
         std::string key = "key-" + std::to_string(i);
-        if (std::optional<bool> hit = cache.Lookup(key)) {
+        if (std::optional<bool> hit = cache.Lookup(Key(key))) {
           // Outcomes must never be corrupted by concurrent writers.
           EXPECT_EQ(*hit, i % 2 == 0) << "thread " << t;
         } else {
-          cache.Insert(key, i % 2 == 0);
+          cache.Insert(Key(key), i % 2 == 0);
         }
       }
     });
@@ -327,8 +334,8 @@ TEST(EvalCacheDeathTest, SecondThreadUseAbortsInDebugBuilds) {
   EXPECT_DEATH(
       {
         EvalCache cache;
-        cache.Insert("k", true);
-        std::thread second([&cache] { cache.Insert("k2", false); });
+        cache.Insert(Key("k"), true);
+        std::thread second([&cache] { cache.Insert(Key("k2"), false); });
         second.join();
       },
       "EvalCache used from a second thread");

@@ -124,12 +124,15 @@ TEST_F(SessionTest, CacheKeyIgnoresPredicateOrder) {
   int customer = db_.RelationIdByName("Customer");
   PhrasePredicate a{ColumnRef{customer, 1}, {"mike"}, false};
   PhrasePredicate b{ColumnRef{customer, 1}, {"jones"}, false};
-  EXPECT_EQ(EvalCacheKey(db_, tree, {a, b}), EvalCacheKey(db_, tree, {b, a}));
-  EXPECT_NE(EvalCacheKey(db_, tree, {a}), EvalCacheKey(db_, tree, {b}));
+  EXPECT_EQ(MakeEvalCacheKey(db_, tree, {a, b}, 0),
+            MakeEvalCacheKey(db_, tree, {b, a}, 0));
+  EXPECT_NE(MakeEvalCacheKey(db_, tree, {a}, 0),
+            MakeEvalCacheKey(db_, tree, {b}, 0));
   // Exactness is part of the key.
   PhrasePredicate a_exact = a;
   a_exact.exact = true;
-  EXPECT_NE(EvalCacheKey(db_, tree, {a}), EvalCacheKey(db_, tree, {a_exact}));
+  EXPECT_NE(MakeEvalCacheKey(db_, tree, {a}, 0),
+            MakeEvalCacheKey(db_, tree, {a_exact}, 0));
 }
 
 }  // namespace

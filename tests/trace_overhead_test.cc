@@ -16,7 +16,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/discovery.h"
@@ -33,19 +32,21 @@ constexpr int kNumEts = 6;
 /// EvalCacheBase that records every key ever looked up.
 class RecordingEvalCache : public EvalCacheBase {
  public:
-  std::optional<bool> Lookup(const std::string& key) override {
+  std::optional<bool> Find(const EvalCacheKey& key) override {
     std::lock_guard<std::mutex> lock(mu_);
     keys_.insert(key);
-    ++lookups_;
-    auto it = outcomes_.find(key);
-    if (it == outcomes_.end()) return std::nullopt;
-    ++hits_;
-    return it->second;
+    return outcomes_.Find(key);
   }
 
-  void Insert(const std::string& key, bool outcome) override {
+  void Insert(const EvalCacheKey& key, bool outcome) override {
     std::lock_guard<std::mutex> lock(mu_);
-    outcomes_.emplace(key, outcome);
+    outcomes_.Insert(key, outcome);
+  }
+
+  void AddTraffic(int64_t hits, int64_t lookups) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    hits_ += hits;
+    lookups_ += lookups;
   }
 
   int64_t hits() const override {
@@ -61,15 +62,15 @@ class RecordingEvalCache : public EvalCacheBase {
     return outcomes_.size();
   }
 
-  std::set<std::string> keys() const {
+  std::set<EvalCacheKey> keys() const {
     std::lock_guard<std::mutex> lock(mu_);
     return keys_;
   }
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<std::string, bool> outcomes_;
-  std::set<std::string> keys_;
+  OutcomeTable outcomes_;
+  std::set<EvalCacheKey> keys_;
   int64_t hits_ = 0;
   int64_t lookups_ = 0;
 };
@@ -120,7 +121,7 @@ struct RunOutcome {
   std::vector<std::vector<double>> scores;       // per ET, ranked order
   std::vector<size_t> num_candidates;            // per ET
   std::vector<int64_t> verifications;            // per ET
-  std::set<std::string> cache_keys;              // whole run (cached only)
+  std::set<EvalCacheKey> cache_keys;             // whole run (cached only)
 };
 
 RunOutcome RunWorkload(TraceMode mode, bool with_cache) {
