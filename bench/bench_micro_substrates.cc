@@ -322,9 +322,9 @@ BENCHMARK(BM_RetailerDiscoveryEndToEnd);
 // ---------------------------------------------------------------------------
 // SIMD kernel layer A/B (DESIGN.md §14): each kernel registered once per
 // dispatch level this CPU supports, named BM_Kernel*<level>, so one
-// google-benchmark run carries the scalar-vs-SSE-vs-AVX2 comparison.
-// Levels are forced in-process (the QBE_KERNEL equivalents); every
-// benchmark restores the previous level on exit.
+// google-benchmark run carries the scalar-vs-AVX2 comparison. Levels are
+// forced in-process with ForceKernelLevel; every benchmark restores the
+// previous level on exit.
 
 std::vector<uint32_t> SortedUnique32(uint64_t seed, size_t n,
                                      uint32_t universe) {
@@ -414,17 +414,13 @@ void BM_KernelPhraseShift(benchmark::State& state, KernelLevel level) {
 
 void BM_KernelBitmapSemijoin(benchmark::State& state, KernelLevel level) {
   ScopedLevel scoped(level);
-  // The executor's semijoin bitmap cycle: clear, batch-set, AND, emit.
+  // The executor's semijoin bitmap cycle: clear, batch-set, emit.
   std::vector<uint32_t> rows = SortedUnique32(7, 8192, 65535);
-  std::vector<uint32_t> mask_rows = SortedUnique32(8, 8192, 65535);
-  std::vector<uint64_t> bits, mask;
-  kernels::BitmapClear(&mask, 65536);
-  kernels::BitmapSetBatch(&mask, mask_rows);
+  std::vector<uint64_t> bits;
   std::vector<uint32_t> emitted;
   for (auto _ : state) {
     kernels::BitmapClear(&bits, 65536);
     kernels::BitmapSetBatch(&bits, rows);
-    kernels::BitmapAnd(&bits, mask);
     kernels::BitmapEmitInto(bits, &emitted);
     benchmark::DoNotOptimize(emitted.data());
   }
@@ -434,8 +430,7 @@ void BM_KernelBitmapSemijoin(benchmark::State& state, KernelLevel level) {
 /// Registers the per-level kernel benchmarks for every supported level.
 /// Static-init registration, same as the BENCHMARK macros above.
 int RegisterKernelBenches() {
-  for (KernelLevel level :
-       {KernelLevel::kScalar, KernelLevel::kSse, KernelLevel::kAvx2}) {
+  for (KernelLevel level : {KernelLevel::kScalar, KernelLevel::kAvx2}) {
     if (!KernelLevelSupported(level)) continue;
     const std::string suffix = std::string("<") + KernelLevelName(level) + ">";
     benchmark::RegisterBenchmark(

@@ -6,7 +6,6 @@
 #include "kernels/kernels.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/intersect.h"
 
 namespace qbe {
 namespace {
@@ -91,7 +90,8 @@ bool Executor::SeedNode(int vertex,
       state->full = false;
       state->rows.assign(matches->begin(), matches->end());
     } else {
-      IntersectSortedInPlace(&state->rows, *matches, &scratch.tmp2);
+      kernels::IntersectSortedInPlace(&state->rows, *matches,
+                                      &scratch.tmp2);
     }
     if (state->Empty()) return false;
   }
@@ -113,7 +113,8 @@ void Executor::Semijoin(NodeState* parent, int edge,
         parent->full = false;
         parent->rows.assign(valid.begin(), valid.end());
       } else {
-        IntersectSortedInPlace(&parent->rows, valid, &scratch.tmp2);
+        kernels::IntersectSortedInPlace(&parent->rows, valid,
+                                        &scratch.tmp2);
       }
       return;
     }
@@ -160,7 +161,8 @@ void Executor::Semijoin(NodeState* parent, int edge,
       parent->full = false;
       parent->rows.assign(referenced.begin(), referenced.end());
     } else {
-      IntersectSortedInPlace(&parent->rows, referenced, &scratch.tmp2);
+      kernels::IntersectSortedInPlace(&parent->rows, referenced,
+                                      &scratch.tmp2);
     }
     return;
   }
@@ -178,7 +180,8 @@ void Executor::Semijoin(NodeState* parent, int edge,
     parent->full = false;
     std::swap(parent->rows, scratch.tmp);
   } else {
-    IntersectSortedInPlace(&parent->rows, scratch.tmp, &scratch.tmp2);
+    kernels::IntersectSortedInPlace(&parent->rows, scratch.tmp,
+                                    &scratch.tmp2);
   }
 }
 

@@ -290,10 +290,9 @@ namespace {
 [[noreturn]] void BenchUsage(const char* prog, unsigned outputs,
                              const std::string& why) {
   std::fprintf(stderr,
-               "%s: %s\nusage: %s [--ets=N] [--scale=X] [--seed=N]%s%s\n",
+               "%s: %s\nusage: %s [--ets=N] [--scale=X] [--seed=N]%s\n",
                prog, why.c_str(), prog,
-               (outputs & kJsonOutput) != 0 ? " [--json=PATH]" : "",
-               (outputs & kKernelAbOutput) != 0 ? " [--kernel-ab=PATH]" : "");
+               (outputs & kJsonOutput) != 0 ? " [--json=PATH]" : "");
   std::exit(2);
 }
 
@@ -338,9 +337,6 @@ BenchArgs ParseBenchArgs(int argc, char** argv, int default_ets,
     } else if (flag == "--json" && (outputs & kJsonOutput) != 0) {
       if (value.empty()) bad_value();
       args.json_path = value;
-    } else if (flag == "--kernel-ab" && (outputs & kKernelAbOutput) != 0) {
-      if (value.empty()) bad_value();
-      args.kernel_ab_path = value;
     } else {
       BenchUsage(prog, outputs, "unknown flag '" + std::string(arg) + "'");
     }

@@ -88,25 +88,17 @@ ExperimentPoint RunPoint(const Bundle& bundle,
 ///   --seed=N      master seed
 /// and, only in the benches that write them (see BenchOutput):
 ///   --json=P      also write the run as machine-readable JSON to path P
-///   --kernel-ab=P benches that support it (bench_fig09_vary_rows_imdb) run
-///                 the SIMD kernel A/B instead of the default sweep: the
-///                 same instances under every supported dispatch level
-///                 (QBE_KERNEL equivalents forced in-process), asserting
-///                 bit-identical verification counts, and write the
-///                 per-level timings + micro-kernel speedups as JSON to P
 struct BenchArgs {
   int ets_per_point;
   double scale;
   uint64_t seed = 7;
-  std::string json_path;       // empty: no JSON output
-  std::string kernel_ab_path;  // empty: normal sweep, no kernel A/B
+  std::string json_path;  // empty: no JSON output
 };
 
 /// Output flags a bench accepts beyond --ets/--scale/--seed (bitmask).
 enum BenchOutput : unsigned {
   kNoBenchOutput = 0,
-  kJsonOutput = 1u << 0,      // --json=P
-  kKernelAbOutput = 1u << 1,  // --kernel-ab=P
+  kJsonOutput = 1u << 0,  // --json=P
 };
 
 /// Parses the bench command line. An unknown flag, a flag outside

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "kernels/kernel_impl.h"
 #include "util/check.h"
@@ -16,72 +13,42 @@ namespace {
 constexpr KernelOps kScalarOps = {
     kernel_impl::scalar::IntersectU32,
     kernel_impl::scalar::IntersectShiftedU64,
-    kernel_impl::scalar::BitmapAnd,
     kernel_impl::scalar::BitmapEmit,
 };
 
-#ifdef QBE_KERNELS_X86
-constexpr KernelOps kSseOps = {
-    kernel_impl::sse::IntersectU32,
-    // Two 64-bit lanes per block don't beat the scalar two-pointer merge
-    // (measured ~10% slower on the phrase micro), so the SSE level keeps
-    // the scalar shifted-span kernel. Per-entry selection is the point of
-    // the ops table: each level ships its fastest correct mix.
-    kernel_impl::scalar::IntersectShiftedU64,
-    kernel_impl::sse::BitmapAnd,
-    kernel_impl::sse::BitmapEmit,
-};
-
+#ifdef QBE_AVX2_TIER
 constexpr KernelOps kAvx2Ops = {
     kernel_impl::avx2::IntersectU32,
     kernel_impl::avx2::IntersectShiftedU64,
-    kernel_impl::avx2::BitmapAnd,
     kernel_impl::avx2::BitmapEmit,
 };
-#endif  // QBE_KERNELS_X86
+#endif  // QBE_AVX2_TIER
 
 /// Widest level this CPU can run, probed once (CPUID via the compiler's
 /// cpu_supports runtime).
-KernelLevel DetectWidestLevel() {
-#ifdef QBE_KERNELS_X86
-  if (__builtin_cpu_supports("avx2")) return KernelLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return KernelLevel::kSse;
-#endif
-  return KernelLevel::kScalar;
-}
-
 KernelLevel WidestSupported() {
-  static const KernelLevel widest = DetectWidestLevel();
+  static const KernelLevel widest = [] {
+#ifdef QBE_AVX2_TIER
+    if (__builtin_cpu_supports("avx2")) return KernelLevel::kAvx2;
+#endif
+    return KernelLevel::kScalar;
+  }();
   return widest;
 }
 
-/// Startup resolution: widest supported unless QBE_KERNEL narrows it.
-/// Unknown values and levels this CPU lacks degrade gracefully (stderr
-/// note, never a crash) — the scalar fallback acceptance criterion.
-KernelLevel ResolveStartupLevel() {
-  const KernelLevel widest = WidestSupported();
-  const char* env = std::getenv("QBE_KERNEL");
-  if (env == nullptr || *env == '\0') return widest;
-  KernelLevel requested;
-  if (!ParseKernelLevel(env, &requested)) {
-    std::fprintf(stderr,
-                 "qbe: unknown QBE_KERNEL=\"%s\" (want scalar|sse|avx2); "
-                 "using %s\n",
-                 env, KernelLevelName(widest));
-    return widest;
-  }
-  if (!KernelLevelSupported(requested)) {
-    std::fprintf(stderr,
-                 "qbe: QBE_KERNEL=%s not supported by this CPU; using %s\n",
-                 KernelLevelName(requested), KernelLevelName(widest));
-    return widest;
-  }
-  return requested;
+std::atomic<int>& ActiveLevelSlot() {
+  static std::atomic<int> slot{static_cast<int>(WidestSupported())};
+  return slot;
 }
 
-std::atomic<int>& ActiveLevelSlot() {
-  static std::atomic<int> slot{static_cast<int>(ResolveStartupLevel())};
-  return slot;
+/// The table for a level already known to be supported.
+const KernelOps& OpsOf(KernelLevel level) {
+#ifdef QBE_AVX2_TIER
+  if (level == KernelLevel::kAvx2) return kAvx2Ops;
+#else
+  (void)level;
+#endif
+  return kScalarOps;
 }
 
 }  // namespace
@@ -89,7 +56,6 @@ std::atomic<int>& ActiveLevelSlot() {
 const char* KernelLevelName(KernelLevel level) {
   switch (level) {
     case KernelLevel::kScalar: return "scalar";
-    case KernelLevel::kSse: return "sse";
     case KernelLevel::kAvx2: return "avx2";
   }
   return "unknown";
@@ -97,20 +63,6 @@ const char* KernelLevelName(KernelLevel level) {
 
 bool KernelLevelSupported(KernelLevel level) {
   return static_cast<int>(level) <= static_cast<int>(WidestSupported());
-}
-
-bool ParseKernelLevel(const char* value, KernelLevel* level) {
-  if (value == nullptr) return false;
-  if (std::strcmp(value, "scalar") == 0) {
-    *level = KernelLevel::kScalar;
-  } else if (std::strcmp(value, "sse") == 0) {
-    *level = KernelLevel::kSse;
-  } else if (std::strcmp(value, "avx2") == 0) {
-    *level = KernelLevel::kAvx2;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 KernelLevel ActiveKernelLevel() {
@@ -128,22 +80,12 @@ void ForceKernelLevel(KernelLevel level) {
 const KernelOps& KernelOpsFor(KernelLevel level) {
   QBE_CHECK_MSG(KernelLevelSupported(level),
                 "KernelOpsFor: level not supported on this CPU");
-  switch (level) {
-    case KernelLevel::kScalar: return kScalarOps;
-#ifdef QBE_KERNELS_X86
-    case KernelLevel::kSse: return kSseOps;
-    case KernelLevel::kAvx2: return kAvx2Ops;
-#else
-    case KernelLevel::kSse:
-    case KernelLevel::kAvx2: break;
-#endif
-  }
-  return kScalarOps;
+  return OpsOf(level);
 }
 
-const KernelOps& ActiveKernelOps() {
-  return KernelOpsFor(ActiveKernelLevel());
-}
+// Only ForceKernelLevel and the first-use probe write the active level,
+// and both admit supported levels only, so no check is needed here.
+const KernelOps& ActiveKernelOps() { return OpsOf(ActiveKernelLevel()); }
 
 namespace kernels {
 
@@ -155,52 +97,22 @@ namespace {
 /// of this boundary at every level.
 constexpr size_t kGallopSkew = 16;
 
-}  // namespace
-
-void IntersectSortedInto(std::span<const uint32_t> a,
-                         std::span<const uint32_t> b,
-                         std::vector<uint32_t>* out) {
+/// One body for the uint32_t and int overloads: sorted non-negative ints
+/// order identically to their uint32 bit patterns, so the u32 kernels
+/// apply unchanged to both.
+template <typename T>
+void IntersectSorted(std::span<const T> a, std::span<const T> b,
+                     std::vector<T>* out) {
+  static_assert(sizeof(T) == sizeof(uint32_t));
   out->clear();
-  const std::span<const uint32_t> small = a.size() <= b.size() ? a : b;
-  const std::span<const uint32_t> large = a.size() <= b.size() ? b : a;
+  const std::span<const T> small = a.size() <= b.size() ? a : b;
+  const std::span<const T> large = a.size() <= b.size() ? b : a;
   if (small.empty()) return;
   if (large.size() / kGallopSkew >= small.size()) {
     // Binary-probe the large side with a shrinking search window.
-    const uint32_t* lo = large.data();
-    const uint32_t* end = large.data() + large.size();
-    for (uint32_t v : small) {
-      lo = std::lower_bound(lo, end, v);
-      if (lo == end) break;
-      if (*lo == v) out->push_back(v);
-    }
-    return;
-  }
-  out->resize(small.size() + kIntersectPad32);
-  const size_t n = ActiveKernelOps().intersect_u32(
-      small.data(), small.size(), large.data(), large.size(), out->data());
-  out->resize(n);
-}
-
-void IntersectSortedInPlace(std::vector<uint32_t>* a,
-                            std::span<const uint32_t> b,
-                            std::vector<uint32_t>* scratch) {
-  IntersectSortedInto(*a, b, scratch);
-  std::swap(*a, *scratch);
-}
-
-void IntersectSortedInto(std::span<const int> a, std::span<const int> b,
-                         std::vector<int>* out) {
-  // Sorted non-negative ints order identically to their uint32 bit
-  // patterns, so the u32 kernels apply unchanged.
-  static_assert(sizeof(int) == sizeof(uint32_t));
-  out->clear();
-  const std::span<const int> small = a.size() <= b.size() ? a : b;
-  const std::span<const int> large = a.size() <= b.size() ? b : a;
-  if (small.empty()) return;
-  if (large.size() / kGallopSkew >= small.size()) {
-    const int* lo = large.data();
-    const int* end = large.data() + large.size();
-    for (int v : small) {
+    const T* lo = large.data();
+    const T* end = large.data() + large.size();
+    for (T v : small) {
       lo = std::lower_bound(lo, end, v);
       if (lo == end) break;
       if (*lo == v) out->push_back(v);
@@ -215,9 +127,29 @@ void IntersectSortedInto(std::span<const int> a, std::span<const int> b,
   out->resize(n);
 }
 
+}  // namespace
+
+void IntersectSortedInto(std::span<const uint32_t> a,
+                         std::span<const uint32_t> b,
+                         std::vector<uint32_t>* out) {
+  IntersectSorted(a, b, out);
+}
+
+void IntersectSortedInPlace(std::vector<uint32_t>* a,
+                            std::span<const uint32_t> b,
+                            std::vector<uint32_t>* scratch) {
+  IntersectSorted<uint32_t>(*a, b, scratch);
+  std::swap(*a, *scratch);
+}
+
+void IntersectSortedInto(std::span<const int> a, std::span<const int> b,
+                         std::vector<int>* out) {
+  IntersectSorted(a, b, out);
+}
+
 void IntersectSortedInPlace(std::vector<int>* a, std::span<const int> b,
                             std::vector<int>* scratch) {
-  IntersectSortedInto(*a, b, scratch);
+  IntersectSorted<int>(*a, b, scratch);
   std::swap(*a, *scratch);
 }
 
@@ -252,16 +184,6 @@ void BitmapSetBatch(std::vector<uint64_t>* bits,
   uint64_t* words = bits->data();
   for (uint32_t row : rows) {
     words[row >> 6] |= uint64_t{1} << (row & 63);
-  }
-}
-
-void BitmapAnd(std::vector<uint64_t>* bits,
-               std::span<const uint64_t> other) {
-  const size_t n = std::min(bits->size(), other.size());
-  ActiveKernelOps().bitmap_and(bits->data(), other.data(), n);
-  // A shorter `other` implicitly zero-extends.
-  if (other.size() < bits->size()) {
-    std::fill(bits->begin() + other.size(), bits->end(), 0);
   }
 }
 

@@ -1,5 +1,5 @@
-#ifndef QBE_KERNELS_KERNELS_H_
-#define QBE_KERNELS_KERNELS_H_
+#ifndef QBE_SRC_KERNELS_KERNELS_H_
+#define QBE_SRC_KERNELS_KERNELS_H_
 
 #include <cstdint>
 #include <span>
@@ -7,13 +7,13 @@
 
 namespace qbe {
 
-/// CPU-feature runtime-dispatched kernels under the verification hot path
+/// CPUID-dispatched kernels under the verification hot path
 /// (DESIGN.md §14). Every scalar loop that dominates CQ-row verification —
 /// sorted-uint32 set intersection, the positional shifted-span merge behind
 /// phrase matching, and the semijoin row bitmaps — funnels through one of
-/// the function pointers in KernelOps. The table is selected once at
-/// startup from CPUID (AVX2 → SSE4.2 → portable scalar), overridable with
-/// QBE_KERNEL=scalar|sse|avx2 for testing and A/B benching.
+/// the function pointers in KernelOps. There are two tables, picked once
+/// at startup from CPUID alone: AVX2 when the CPU has it, else the portable
+/// scalar kernels.
 ///
 /// Contract: every kernel is bit-identical to the scalar oracle — same
 /// output values in the same order for any input — so the dispatch level
@@ -21,11 +21,11 @@ namespace qbe {
 /// sets. tests/kernels_test.cc enforces this differentially, and the golden
 /// harness (tests/golden/verify_counts.json) pins the end-to-end counts.
 
-/// Dispatch levels, widest last. On non-x86 builds only kScalar exists.
+/// Dispatch levels. On non-x86 builds only kScalar exists. The values are
+/// what the service's kernel_level gauge reports.
 enum class KernelLevel : int {
   kScalar = 0,
-  kSse = 1,   // SSE4.2: 4×32-bit / 2×64-bit shuffle-compare blocks
-  kAvx2 = 2,  // AVX2: 8×32-bit / 4×64-bit blocks + 256-bit bitmap ops
+  kAvx2 = 2,  // AVX2: 8×32-bit / 4×64-bit blocks, 256-bit zero-block skip
 };
 
 const char* KernelLevelName(KernelLevel level);
@@ -34,22 +34,16 @@ const char* KernelLevelName(KernelLevel level);
 /// supported.
 bool KernelLevelSupported(KernelLevel level);
 
-/// The level the process is currently dispatching to. Resolved once on
-/// first use: the widest supported level, unless QBE_KERNEL requests a
-/// narrower one (an unsupported or unknown request falls back to the widest
-/// supported level with a stderr note — a service must never crash on a
-/// config typo, and a CPU without AVX2 silently gets the graceful scalar /
-/// SSE fallback).
+/// The level the process is currently dispatching to: the widest level
+/// this CPU supports, probed once on first use, unless ForceKernelLevel
+/// changed it.
 KernelLevel ActiveKernelLevel();
 
-/// Test/bench seam: swaps the active dispatch table. QBE_CHECKs that
-/// `level` is supported. Not thread-safe against in-flight requests — call
-/// between requests only (tests and the A/B bench driver do).
+/// Test/bench seam: swaps the active dispatch table, so the scalar
+/// reference can run on an AVX2 machine. QBE_CHECKs that `level` is
+/// supported. Not thread-safe against in-flight requests — call between
+/// requests only (tests and the micro-benches do).
 void ForceKernelLevel(KernelLevel level);
-
-/// Parses a QBE_KERNEL-style value ("scalar"|"sse"|"avx2"). Returns false
-/// on anything else. Exposed for unit tests.
-bool ParseKernelLevel(const char* value, KernelLevel* level);
 
 /// Raw per-level entry points. All array variants may read/write full
 /// vector blocks, so destination buffers need the documented slack; the
@@ -68,13 +62,10 @@ struct KernelOps {
   size_t (*intersect_shifted_u64)(const uint64_t* cand, size_t nc,
                                   const uint64_t* span, size_t ns,
                                   uint64_t shift, uint64_t* out);
-  /// words[i] &= other[i] for i < num_words.
-  void (*bitmap_and)(uint64_t* words, const uint64_t* other,
-                     size_t num_words);
   /// Emits the set bit positions of a word array in ascending order via
-  /// ctz (satellite of ISSUE 8: never tests bits one by one); the wide
-  /// levels additionally skip all-zero blocks 256 bits at a time. Returns
-  /// the number of positions written; `out` must hold 64 * num_words.
+  /// ctz (never tests bits one by one); the AVX2 level additionally skips
+  /// all-zero blocks 256 bits at a time. Returns the number of positions
+  /// written; `out` must hold 64 * num_words.
   size_t (*bitmap_emit)(const uint64_t* words, size_t num_words,
                         uint32_t* out);
 };
@@ -124,7 +115,7 @@ void IntersectShiftedInPlace(std::vector<uint64_t>* cand,
 
 /// Semijoin row-bitmap helpers over a uint64-word bitmap sized by
 /// BitmapClear. Set/Test are single-instruction inlines (nothing to
-/// dispatch); And/Emit go through the active kernel table.
+/// dispatch); Emit goes through the active kernel table.
 inline void BitmapClear(std::vector<uint64_t>* bits, size_t num_rows) {
   bits->assign((num_rows + 63) / 64, 0);
 }
@@ -141,9 +132,6 @@ inline bool BitmapTest(const std::vector<uint64_t>& bits, uint32_t row) {
 void BitmapSetBatch(std::vector<uint64_t>* bits,
                     std::span<const uint32_t> rows);
 
-void BitmapAnd(std::vector<uint64_t>* bits,
-               std::span<const uint64_t> other);
-
 /// Emits the set rows of `bits` into `*out` in ascending order — the
 /// sorted-distinct row set without a sort, O(rows/64 + |set|).
 void BitmapEmitInto(const std::vector<uint64_t>& bits,
@@ -153,4 +141,4 @@ void BitmapEmitInto(const std::vector<uint64_t>& bits,
 
 }  // namespace qbe
 
-#endif  // QBE_KERNELS_KERNELS_H_
+#endif  // QBE_SRC_KERNELS_KERNELS_H_

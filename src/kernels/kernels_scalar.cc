@@ -1,6 +1,6 @@
-// Portable scalar kernels — the oracle every vector level must match
-// bit-for-bit, and the dispatch floor on CPUs (or architectures) without
-// SSE4.2/AVX2. Plain two-pointer merges and ctz word scans; the compiler
+// Portable scalar kernels — the oracle the AVX2 level must match
+// bit-for-bit, and the only level on CPUs (or architectures) without
+// AVX2. Plain two-pointer merges and ctz word scans; the compiler
 // is free to autovectorize, but correctness never depends on it.
 
 #include <bit>
@@ -44,10 +44,6 @@ size_t IntersectShiftedU64(const uint64_t* cand, size_t nc,
     }
   }
   return n;
-}
-
-void BitmapAnd(uint64_t* words, const uint64_t* other, size_t num_words) {
-  for (size_t w = 0; w < num_words; ++w) words[w] &= other[w];
 }
 
 size_t BitmapEmit(const uint64_t* words, size_t num_words, uint32_t* out) {

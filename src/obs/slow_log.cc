@@ -41,12 +41,11 @@ std::string SlowQueryJson(const SlowQueryRecord& record) {
   std::snprintf(buf, sizeof(buf),
                 ",\"et_rows\":%d,\"et_cols\":%d,\"candidates\":%lld,"
                 "\"verifications\":%lld,\"queries\":%lld,"
-                "\"kernel_level\":\"%s\",\"traced\":%s",
+                "\"traced\":%s",
                 record.et_rows, record.et_cols,
                 static_cast<long long>(record.candidates),
                 static_cast<long long>(record.verifications),
                 static_cast<long long>(record.queries),
-                JsonEscape(record.kernel_level).c_str(),
                 record.traced ? "true" : "false");
   out += buf;
   out += ",\"phases\":{";

@@ -22,10 +22,6 @@ struct SlowQueryRecord {
   int64_t candidates = 0;
   int64_t verifications = 0;
   int64_t queries = 0;  // discovered queries returned
-  /// Active SIMD dispatch level ("scalar", "sse", "avx2"; DESIGN.md §14) —
-  /// lets latency regressions in aggregated logs be correlated with the
-  /// kernel level the process ran under.
-  std::string kernel_level;
   bool traced = false;
   /// Per-phase wall seconds (name → seconds), e.g. {"candidate_gen", 0.01}.
   std::vector<std::pair<std::string, double>> phases;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 
-#include "kernels/kernels.h"
 #include "util/check.h"
 
 namespace qbe {
@@ -232,7 +231,6 @@ Trace TraceContext::Stitch() const {
   std::lock_guard<std::mutex> lock(lanes_mu_);
   Trace trace;
   trace.request_id = request_id_;
-  trace.kernel_level = KernelLevelName(ActiveKernelLevel());
   // Global index of each lane's first span, for parent-ref resolution.
   std::vector<size_t> lane_offset(lanes_.size(), 0);
   size_t total = 0;
@@ -285,21 +283,8 @@ void AppendSpanEvent(const Trace& trace, const TraceSpan& span,
   double dur_us =
       static_cast<double>(std::max<int64_t>(0, span.end_ns - span.start_ns)) /
       1000.0;
-  // Kernel-bound spans carry the dispatch level so A/B traces are
-  // attributable to the SIMD level that produced them.
-  const bool kernel_bound = span.kind == SpanKind::kTextMatch ||
-                            span.kind == SpanKind::kEvalExec;
-  char args[96] = "";
-  if (kernel_bound && !trace.kernel_level.empty()) {
-    if (span.shard >= 0) {
-      std::snprintf(args, sizeof(args),
-                    ",\"args\":{\"kernel_level\":\"%s\",\"shard\":%d}",
-                    trace.kernel_level.c_str(), span.shard);
-    } else {
-      std::snprintf(args, sizeof(args), ",\"args\":{\"kernel_level\":\"%s\"}",
-                    trace.kernel_level.c_str());
-    }
-  } else if (span.shard >= 0) {
+  char args[32] = "";
+  if (span.shard >= 0) {
     std::snprintf(args, sizeof(args), ",\"args\":{\"shard\":%d}", span.shard);
   }
   std::snprintf(buf, sizeof(buf),

@@ -111,11 +111,6 @@ struct TraceSpan {
 struct Trace {
   /// Request sequence number (service-assigned; 0 for standalone runs).
   uint64_t request_id = 0;
-  /// Kernel dispatch level (KernelLevelName of DESIGN.md §14's layer) the
-  /// process ran this request under, captured at Stitch so speedups in
-  /// text_match / eval_exec spans are attributable to the SIMD level that
-  /// produced them. Exporters label those spans with it.
-  std::string kernel_level;
   std::vector<TraceSpan> spans;
   int64_t counters[static_cast<size_t>(TraceCounter::kNumCounters)] = {};
   int64_t dropped_spans = 0;

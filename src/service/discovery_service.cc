@@ -450,7 +450,6 @@ void DiscoveryService::Run(const std::shared_ptr<Request>& request) {
     record.candidates = static_cast<int64_t>(result.num_candidates);
     record.verifications = result.counters.verifications;
     record.queries = static_cast<int64_t>(result.queries.size());
-    record.kernel_level = KernelLevelName(ActiveKernelLevel());
     record.traced = traced;
     if (traced) {
       for (size_t k = 0; k < static_cast<size_t>(SpanKind::kNumKinds); ++k) {
@@ -662,8 +661,8 @@ void DiscoveryService::RefreshGauges() {
   if (straggler_ratio >= 0.0) {
     metrics_.SetGauge("shard_straggler_ratio", straggler_ratio);
   }
-  // 0 = scalar, 1 = sse, 2 = avx2 (KernelLevel enum values) — which SIMD
-  // dispatch level the verification hot path runs under.
+  // 0 = scalar, 2 = avx2 (KernelLevel enum values) — which SIMD dispatch
+  // level the verification hot path runs under, once per process.
   metrics_.SetGauge("kernel_level",
                     static_cast<double>(ActiveKernelLevel()));
 }

@@ -6,7 +6,6 @@
 
 #include "kernels/kernels.h"
 #include "text/tokenizer.h"
-#include "util/intersect.h"
 
 namespace qbe {
 
@@ -328,7 +327,7 @@ std::vector<uint32_t> InvertedIndex::MatchAllPhrases(
   for (size_t i = 1; i < phrases.size() && !acc.empty(); ++i) {
     if (dict_ == nullptr) return {};
     MatchPhraseIdsInto(dict_->IdsOf(phrases[i]), &next);
-    IntersectSortedInPlace(&acc, next, &scratch);
+    kernels::IntersectSortedInPlace(&acc, next, &scratch);
   }
   return acc;
 }

@@ -53,22 +53,18 @@ TEST(BenchArgsTest, Overrides) {
 TEST(BenchArgsTest, OutputPathsOnlyWhereAccepted) {
   char prog[] = "bench";
   char json[] = "--json=out.json";
-  char kernel_ab[] = "--kernel-ab=ab.json";
-  char* argv[] = {prog, json, kernel_ab};
-  BenchArgs args =
-      ParseBenchArgs(3, argv, 50, 1.0, kJsonOutput | kKernelAbOutput);
+  char* argv[] = {prog, json};
+  BenchArgs args = ParseBenchArgs(2, argv, 50, 1.0, kJsonOutput);
   EXPECT_EQ(args.json_path, "out.json");
-  EXPECT_EQ(args.kernel_ab_path, "ab.json");
   EXPECT_EXIT(ParseBenchArgs(2, argv, 50, 1.0),
               ::testing::ExitedWithCode(2), "unknown flag '--json=out.json'");
-  EXPECT_EXIT(ParseBenchArgs(3, argv, 50, 1.0, kJsonOutput),
-              ::testing::ExitedWithCode(2), "unknown flag '--kernel-ab=");
 }
 
 TEST(BenchArgsTest, UnknownFlagsAndMalformedNumbersExitWithUsage) {
   const char* bad[] = {"--bogus-flag", "--ets=abc", "--ets=0", "--ets=5x",
                        "--scale=0",    "--scale=-1", "--scale=nan",
-                       "--seed=-3",    "--seed=",    "--ets",  "-ets=3"};
+                       "--seed=-3",    "--seed=",    "--ets",  "-ets=3",
+                       "--kernel-ab=ab.json"};
   for (const char* flag : bad) {
     char prog[] = "bench";
     std::string arg = flag;

@@ -1,7 +1,7 @@
 // SpanOrVec is the storage dual behind every array the snapshot can map:
 // owned vector (build path) or borrowed span (mmap path). The property that
 // matters is that query kernels cannot tell the modes apart — this suite
-// drives the CSR span-intersection kernels (util/intersect.h) with the same
+// drives the CSR span-intersection kernels (kernels/kernels.h) with the same
 // data in both modes and requires identical output, across the merge and
 // galloping regimes. Plus the XXH64 checksum primitive the snapshot format
 // builds on.
@@ -15,8 +15,8 @@
 #include <set>
 #include <vector>
 
+#include "kernels/kernels.h"
 #include "util/hash64.h"
-#include "util/intersect.h"
 
 namespace qbe {
 namespace {
@@ -88,9 +88,12 @@ TEST(SpanOrVecTest, IntersectionKernelsIdenticalAcrossModesProperty) {
         SpanOrVec<uint32_t>::Mapped(std::span<const uint32_t>(b));
 
     std::vector<uint32_t> from_owned, from_mapped, from_mixed;
-    IntersectSortedInto(owned_a.span(), owned_b.span(), &from_owned);
-    IntersectSortedInto(mapped_a.span(), mapped_b.span(), &from_mapped);
-    IntersectSortedInto(owned_a.span(), mapped_b.span(), &from_mixed);
+    kernels::IntersectSortedInto(owned_a.span(), owned_b.span(),
+                                 &from_owned);
+    kernels::IntersectSortedInto(mapped_a.span(), mapped_b.span(),
+                                 &from_mapped);
+    kernels::IntersectSortedInto(owned_a.span(), mapped_b.span(),
+                                 &from_mixed);
     EXPECT_EQ(from_owned, from_mapped) << "trial " << trial;
     EXPECT_EQ(from_owned, from_mixed) << "trial " << trial;
 
@@ -104,7 +107,7 @@ TEST(SpanOrVecTest, IntersectionKernelsIdenticalAcrossModesProperty) {
 
     // In-place variant against a mapped right-hand side.
     std::vector<uint32_t> acc = a, scratch;
-    IntersectSortedInPlace(&acc, mapped_b.span(), &scratch);
+    kernels::IntersectSortedInPlace(&acc, mapped_b.span(), &scratch);
     EXPECT_EQ(acc, expected) << "trial " << trial;
   }
 }

@@ -22,7 +22,6 @@
 
 #include "core/discovery.h"
 #include "datagen/retailer.h"
-#include "kernels/kernels.h"
 #include "obs/metrics_http.h"
 #include "obs/prom.h"
 #include "obs/slow_log.h"
@@ -223,9 +222,6 @@ TEST(ChromeTraceJsonTest, GoldenOutput) {
   g_fake_now_ns = 5000;
   ctx.CloseSpan(root);
 
-  // Kernel-bound spans (eval_exec, text_match) carry the dispatch level as
-  // a trace-event arg; the level is whatever this process runs under.
-  const std::string level = KernelLevelName(ActiveKernelLevel());
   const std::string expected =
       "{\"traceEvents\":[\n"
       "{\"name\":\"request\",\"cat\":\"qbe\",\"ph\":\"X\","
@@ -233,8 +229,7 @@ TEST(ChromeTraceJsonTest, GoldenOutput) {
       "{\"name\":\"candidate_gen\",\"cat\":\"qbe\",\"ph\":\"X\","
       "\"ts\":2.000,\"dur\":1.000,\"pid\":7,\"tid\":0},\n"
       "{\"name\":\"eval_exec\",\"cat\":\"qbe\",\"ph\":\"X\","
-      "\"ts\":3.500,\"dur\":0.500,\"pid\":7,\"tid\":0,"
-      "\"args\":{\"kernel_level\":\"" + level + "\"}}\n"
+      "\"ts\":3.500,\"dur\":0.500,\"pid\":7,\"tid\":0}\n"
       "],\"displayTimeUnit\":\"ms\"}\n";
   EXPECT_EQ(ChromeTraceJson(ctx.Stitch()), expected);
 }
@@ -281,7 +276,6 @@ TEST(SlowQueryJsonTest, GoldenOutput) {
   record.candidates = 17;
   record.verifications = 5;
   record.queries = 1;
-  record.kernel_level = "avx2";
   record.traced = true;
   record.phases = {{"candidate_gen", 0.001}, {"verify:filter", 0.0105}};
 
@@ -290,7 +284,7 @@ TEST(SlowQueryJsonTest, GoldenOutput) {
       "\"latency_ms\":12.345,\"queue_ms\":1.000,"
       "\"et_rows\":3,\"et_cols\":2,\"candidates\":17,"
       "\"verifications\":5,\"queries\":1,"
-      "\"kernel_level\":\"avx2\",\"traced\":true,"
+      "\"traced\":true,"
       "\"phases\":{\"candidate_gen\":1.000,\"verify:filter\":10.500}}";
   EXPECT_EQ(SlowQueryJson(record), expected);
 }
@@ -497,7 +491,7 @@ TEST(ServiceTracingTest, SampledRequestsYieldTracesMetricsAndSlowLog) {
   for (const std::string& line : log_lines) {
     EXPECT_EQ(line.find("{\"event\":\"slow_query\""), 0u) << line;
     EXPECT_NE(line.find("\"traced\":true"), std::string::npos);
-    EXPECT_NE(line.find("\"kernel_level\":\""), std::string::npos);
+    EXPECT_EQ(line.find("\"kernel_level\""), std::string::npos);
     EXPECT_NE(line.find("\"phases\":{"), std::string::npos);
   }
 
