@@ -16,7 +16,6 @@
 #include "core/filter_verifier.h"
 #include "core/simple_prune.h"
 #include "core/verify_all.h"
-#include "exec/stats.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 
@@ -31,7 +30,6 @@ struct Variant {
 
 void Run(const BenchArgs& args) {
   Bundle bundle = MakeBundle(DatasetKind::kImdb, args.scale, args.seed);
-  Statistics stats(*bundle.db);
   EtParams params;  // Table 3 defaults
   std::vector<ExampleTable> ets =
       bundle.ets->SampleMany(params, args.ets_per_point, args.seed);
@@ -55,13 +53,6 @@ void Run(const BenchArgs& args) {
     FilterVerifier::Options options;
     options.adaptive_prior = true;
     variants.push_back({"Filter(adaptive prior)",
-                        std::make_unique<FilterVerifier>(options)});
-  }
-  {
-    FilterVerifier::Options options;
-    options.cost_model = FilterCostModel::kEstimated;
-    options.stats = &stats;
-    variants.push_back({"Filter(estimated cost)",
                         std::make_unique<FilterVerifier>(options)});
   }
   variants.push_back(

@@ -131,14 +131,11 @@ std::unique_ptr<CandidateVerifier> MakeVerifier(
       return std::make_unique<VerifyAll>(options.row_order);
     case Algorithm::kSimplePrune:
       return std::make_unique<SimplePrune>(options.row_order);
-    case Algorithm::kFilter: {
-      FilterVerifier::Options fo;
-      fo.failure_prior = options.failure_prior;
-      return std::make_unique<FilterVerifier>(fo);
-    }
+    case Algorithm::kFilter:
+      return std::make_unique<FilterVerifier>();
     case Algorithm::kFilterExact:
       // Exact greedy argmax (the lazy accelerated scan is the default).
-      return std::make_unique<FilterVerifier>(options.failure_prior, false);
+      return std::make_unique<FilterVerifier>(0.1, false);
     case Algorithm::kWeave:
       return std::make_unique<JoinTreeWeave>();
   }

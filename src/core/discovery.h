@@ -32,9 +32,6 @@ struct DiscoveryOptions {
   /// Row order for the baseline algorithms.
   RowOrder row_order = RowOrder::kDenseFirst;
 
-  /// p̂ of FILTER's probabilistic model (§5.3.1).
-  double failure_prior = 0.1;
-
   /// Seed for any randomized choices (e.g., RowOrder::kRandom).
   uint64_t seed = 42;
 

@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "core/example_table.h"
+#include "util/check.h"
 
 namespace qbe {
 namespace {

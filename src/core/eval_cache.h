@@ -4,14 +4,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "exec/predicate.h"
 #include "schema/join_tree.h"
 #include "storage/database.h"
-#include "util/check.h"
 #include "util/hash128.h"
+#include "util/owner_thread.h"
 
 namespace qbe {
 
@@ -111,23 +110,23 @@ class EvalCacheBase {
 };
 
 /// Single-threaded EvalCacheBase backed by one OutcomeTable. NOT
-/// thread-safe: its reuse contract is one thread at a time, enforced in
-/// debug builds by a thread-affinity check (first use pins the owning
-/// thread). Concurrent sessions must share a ConcurrentEvalCache instead.
+/// thread-safe: the first thread to use it pins it, and a use from any
+/// other thread fails a QBE_CHECK (util/owner_thread.h). Concurrent sessions
+/// must share a ConcurrentEvalCache instead.
 class EvalCache : public EvalCacheBase {
  public:
   std::optional<bool> Find(const EvalCacheKey& key) override {
-    CheckAffinity();
+    owner_.Check(kOwnerMessage);
     return outcomes_.Find(key);
   }
 
   void Insert(const EvalCacheKey& key, bool outcome) override {
-    CheckAffinity();
+    owner_.Check(kOwnerMessage);
     outcomes_.Insert(key, outcome);
   }
 
   void AddTraffic(int64_t hits, int64_t lookups) override {
-    CheckAffinity();
+    owner_.Check(kOwnerMessage);
     hits_ += hits;
     lookups_ += lookups;
   }
@@ -137,21 +136,14 @@ class EvalCache : public EvalCacheBase {
   size_t size() const override { return outcomes_.size(); }
 
  private:
-  void CheckAffinity() const {
-#ifndef NDEBUG
-    if (owner_ == std::thread::id()) owner_ = std::this_thread::get_id();
-    QBE_CHECK_MSG(owner_ == std::this_thread::get_id(),
-                  "EvalCache used from a second thread; share a "
-                  "ConcurrentEvalCache across threads instead");
-#endif
-  }
+  static constexpr char kOwnerMessage[] =
+      "EvalCache used from a second thread; share a ConcurrentEvalCache "
+      "across threads instead";
 
   OutcomeTable outcomes_;
   int64_t hits_ = 0;
   int64_t lookups_ = 0;
-#ifndef NDEBUG
-  mutable std::thread::id owner_;
-#endif
+  OwnerThread owner_;
 };
 
 }  // namespace qbe

@@ -79,17 +79,28 @@ std::string DiscoveryExplain::ToString() const {
     }
     out += "\n";
   }
-  out += "  candidates: " + std::to_string(num_candidates) + " (by tree size:";
+  // Appends, not "literal" + std::to_string(...): gcc 12 reports a false
+  // -Wrestrict on const char* + std::string&& at -O2 and above.
+  out += "  candidates: ";
+  out += std::to_string(num_candidates);
+  out += " (by tree size:";
   for (const auto& [size, count] : candidates_by_tree_size) {
-    out += " " + std::to_string(size) + "->" + std::to_string(count);
+    out += ' ';
+    out += std::to_string(size);
+    out += "->";
+    out += std::to_string(count);
   }
-  out += ")\n";
-  out += "  filter universe: " + std::to_string(num_filters) + " filters, " +
-         std::to_string(num_trivial_filters) + " trivially successful\n";
-  out += "  verifications: " + std::to_string(counters.verifications) +
-         " (estimated cost " + std::to_string(counters.estimated_cost) +
-         ")\n";
-  out += "  valid queries: " + std::to_string(num_valid) + "\n";
+  out += ")\n  filter universe: ";
+  out += std::to_string(num_filters);
+  out += " filters, ";
+  out += std::to_string(num_trivial_filters);
+  out += " trivially successful\n  verifications: ";
+  out += std::to_string(counters.verifications);
+  out += " (estimated cost ";
+  out += std::to_string(counters.estimated_cost);
+  out += ")\n  valid queries: ";
+  out += std::to_string(num_valid);
+  out += "\n";
   for (const DiscoveredQuery& q : queries) {
     out += "    " + q.sql + "\n";
   }

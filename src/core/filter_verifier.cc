@@ -34,14 +34,11 @@ struct AdaptiveState {
   /// 0 once it leaves — the class's whole contribution to any W+.
   std::vector<int64_t> fx_live;
   int num_alive;
-  // nF of each filter and n of the ET (§5.3.1), read on every Score.
+  // nF and cost(F) of each filter and n of the ET (§5.3.1), read on every
+  // Score. cost(F) is the join-tree size (§5.2 Remarks).
   std::vector<uint8_t> num_cells;
+  std::vector<double> cost;
   int num_columns;
-
-  // Per-filter selection cost under the configured cost model (the
-  // counters always charge the paper's tree-size cost so metrics stay
-  // comparable; the model only steers selection).
-  std::vector<double> selection_cost;
 
   AdaptiveState(const FilterUniverse& universe, const VerifyContext& context,
                 double prior)
@@ -59,8 +56,10 @@ struct AdaptiveState {
     fx_live.assign(nc, 0);
     num_alive = nq;
     num_cells.resize(nf);
+    cost.resize(nf);
     for (int f = 0; f < nf; ++f) {
       num_cells[f] = static_cast<uint8_t>(u.filters[f].NumConstrainedCells());
+      cost[f] = u.filters[f].Cost();
     }
     num_columns = ctx.et.num_columns();
     for (int q = 0; q < nq; ++q) {
@@ -110,7 +109,7 @@ struct AdaptiveState {
     double p = FailureProbability(f);
     double expected = (1.0 - p) * static_cast<double>(w_plus) +
                       p * static_cast<double>(w_minus);
-    return expected / selection_cost[f];
+    return expected / cost[f];
   }
 
   void RemoveFromFx(int c) {
@@ -232,18 +231,6 @@ std::vector<bool> FilterVerifier::Verify(const VerifyContext& ctx,
   }
   AdaptiveState s(universe, ctx, options_.failure_prior);
   s.adaptive_prior = options_.adaptive_prior;
-  s.selection_cost.resize(universe.num_filters());
-  for (int f = 0; f < universe.num_filters(); ++f) {
-    const Filter& filter = universe.filters[f];
-    if (options_.cost_model == FilterCostModel::kEstimated) {
-      QBE_CHECK_MSG(options_.stats != nullptr,
-                    "kEstimated cost model requires Options::stats");
-      s.selection_cost[f] = options_.stats->EstimateProbeCost(
-          ctx.graph, filter.tree, FilterPredicates(filter, ctx.et));
-    } else {
-      s.selection_cost[f] = filter.Cost();
-    }
-  }
 
   // Trivially successful filters (see Filter::IsTriviallySuccessful) are
   // resolved up front: candidate generation already proved them, so no

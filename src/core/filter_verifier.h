@@ -3,19 +3,8 @@
 
 #include "core/filter_universe.h"
 #include "core/verifier.h"
-#include "exec/stats.h"
 
 namespace qbe {
-
-/// How cost(F) is computed for the E[W]/cost greedy criterion.
-enum class FilterCostModel {
-  /// The paper's proxy: join-tree size (§5.2 Remarks — "we use the number
-  /// of joins in a filter F to approximate the cost").
-  kTreeSize,
-  /// Index-statistics estimate (seed selectivity × join expansion) via
-  /// exec/stats.h. Extension; compared in bench_ablation_filter.
-  kEstimated,
-};
 
 /// FILTER (§5): the paper's contribution. Builds the deduplicated filter
 /// universe of all candidates, then runs the adaptive verification loop of
@@ -44,13 +33,6 @@ class FilterVerifier : public CandidateVerifier {
     /// model stays "a constant p" in structure; only the constant adapts
     /// to the workload. Extension beyond the paper; off by default.
     bool adaptive_prior = false;
-
-    /// See FilterCostModel; kEstimated requires `stats`.
-    FilterCostModel cost_model = FilterCostModel::kTreeSize;
-
-    /// Statistics snapshot for kEstimated (not owned; must outlive the
-    /// verifier call).
-    const Statistics* stats = nullptr;
 
     /// Accelerated (lazy) greedy selection: scores are adaptively
     /// diminishing (Lemma 6), so stale priority-queue entries are upper

@@ -65,26 +65,19 @@ bool Executor::SeedNode(int vertex,
     }
     // Exact match is answered from the index (occurrence at position 0
     // covering the whole cell) — the cell is never re-tokenized.
-    const std::vector<uint32_t>* matches = nullptr;
-    std::shared_ptr<const std::vector<uint32_t>> cached;
-    if (match_cache != nullptr) {
-      cached = match_cache->GetOrCompute(
-          view_.TextColumnGid(pred->column), pred->exact, ids,
-          [&](std::vector<uint32_t>* out) {
-            if (pred->exact) {
-              view_.MatchExactIdsInto(pred->column, ids, out);
-            } else {
-              view_.MatchPhraseIdsInto(pred->column, ids, out);
-            }
-          });
-      matches = cached.get();
-    } else {
+    auto match_into = [&](std::vector<uint32_t>* out) {
       if (pred->exact) {
-        view_.MatchExactIdsInto(pred->column, ids, &scratch.matches);
+        view_.MatchExactIdsInto(pred->column, ids, out);
       } else {
-        view_.MatchPhraseIdsInto(pred->column, ids, &scratch.matches);
+        view_.MatchPhraseIdsInto(pred->column, ids, out);
       }
-      matches = &scratch.matches;
+    };
+    const std::vector<uint32_t>* matches = &scratch.matches;
+    if (match_cache != nullptr) {
+      matches = &match_cache->GetOrCompute(view_.TextColumnGid(pred->column),
+                                           pred->exact, ids, match_into);
+    } else {
+      match_into(&scratch.matches);
     }
     if (state->full) {
       state->full = false;
@@ -238,7 +231,7 @@ Executor::NodeState Executor::Reduce(
         // stored as the canonical empty state so replay reproduces the
         // serial feasibility outcome.
         SubtreeKey key{child_vertex, scan.verts, scan.edges};
-        std::shared_ptr<const NodeState> cached = memo->Lookup(key);
+        const NodeState* cached = memo->Lookup(key);
         if (cached == nullptr) {
           bool child_feasible = true;
           NodeState fresh = Reduce(tree, child_vertex, e, preds_by_vertex,
@@ -249,8 +242,7 @@ Executor::NodeState Executor::Reduce(
             fresh.rows.clear();
             fresh.rel = child_vertex;
           }
-          cached = std::make_shared<const NodeState>(std::move(fresh));
-          memo->Insert(key, cached);
+          cached = memo->Insert(key, std::move(fresh));
         }
         if (cached->Empty()) {
           *feasible = false;

@@ -1,10 +1,7 @@
 #ifndef QBE_EXEC_EXECUTOR_H_
 #define QBE_EXEC_EXECUTOR_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,43 +61,33 @@ class Executor {
   /// heavily on join structure while differing mostly in predicates, so the
   /// predicate-free branches of their existence queries repeat across
   /// candidates (and across ET rows): materialize each once per request
-  /// instead of once per evaluation. Thread-safe; values are deterministic
-  /// functions of the database, so concurrent inserts are idempotent.
+  /// instead of once per evaluation. Not thread-safe: a request runs on
+  /// one thread, and its ShardExecSet owns the memo (DESIGN.md §9).
   class SubtreeMemo {
    public:
     /// The memoized reduced root state, or null. Counts a lookup (and a hit
-    /// when found).
-    std::shared_ptr<const NodeState> Lookup(const SubtreeKey& key) {
-      lookups_.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(mu_);
+    /// when found). The pointer stays valid across later inserts: the map
+    /// is node-based.
+    const NodeState* Lookup(const SubtreeKey& key) {
+      ++lookups_;
       auto it = map_.find(key);
       if (it == map_.end()) return nullptr;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+      ++hits_;
+      return &it->second;
     }
 
-    void Insert(const SubtreeKey& key,
-                std::shared_ptr<const NodeState> state) {
-      std::lock_guard<std::mutex> lock(mu_);
-      map_.emplace(key, std::move(state));
+    const NodeState* Insert(const SubtreeKey& key, NodeState state) {
+      return &map_.emplace(key, std::move(state)).first->second;
     }
 
-    int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-    int64_t lookups() const {
-      return lookups_.load(std::memory_order_relaxed);
-    }
-    size_t size() const {
-      std::lock_guard<std::mutex> lock(mu_);
-      return map_.size();
-    }
+    int64_t hits() const { return hits_; }
+    int64_t lookups() const { return lookups_; }
+    size_t size() const { return map_.size(); }
 
    private:
-    mutable std::mutex mu_;
-    std::unordered_map<SubtreeKey, std::shared_ptr<const NodeState>,
-                       SubtreeKeyHash>
-        map_;
-    std::atomic<int64_t> hits_{0};
-    std::atomic<int64_t> lookups_{0};
+    std::unordered_map<SubtreeKey, NodeState, SubtreeKeyHash> map_;
+    int64_t hits_ = 0;
+    int64_t lookups_ = 0;
   };
 
   Executor(const Database& db, const SchemaGraph& graph)
@@ -117,8 +104,8 @@ class Executor {
   /// This is the engine behind every CQ-row and filter verification. A
   /// non-null `memo` shares reduced predicate-free subtrees across calls; a
   /// non-null `match_cache` shares per-(column, phrase) row sets across
-  /// calls (both thread-safe and outcome-neutral). A non-null `trace`
-  /// records text-match spans (obs/trace.h); observation-only.
+  /// calls (both outcome-neutral). A non-null `trace` records text-match
+  /// spans (obs/trace.h); observation-only.
   bool Exists(const JoinTree& tree,
               const std::vector<PhrasePredicate>& predicates,
               SubtreeMemo* memo = nullptr,

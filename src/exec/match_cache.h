@@ -1,11 +1,8 @@
 #ifndef QBE_EXEC_MATCH_CACHE_H_
 #define QBE_EXEC_MATCH_CACHE_H_
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -17,29 +14,39 @@ namespace qbe {
 /// probed by SeedNode across thousands of candidate trees per request, so
 /// the cache turns repeated posting-list scans into one shared lookup.
 ///
-/// Thread-safe via sharding (one mutex per shard, keyed by the key hash).
-/// Values are computed OUTSIDE the shard lock and inserted idempotently: a
-/// match result is a pure function of the immutable database, so when two
-/// threads race on the same key both compute identical vectors and either
-/// insert wins.
+/// Not thread-safe: a request runs on one thread, and its ShardExecSet owns
+/// the cache (DESIGN.md §9).
 class MatchCache {
  public:
-  explicit MatchCache(size_t shards = 16);
+  MatchCache() = default;
   MatchCache(const MatchCache&) = delete;
   MatchCache& operator=(const MatchCache&) = delete;
 
   /// Returns the cached row set for (column_gid, exact, ids), computing it
-  /// with `compute` on miss. `compute` must write the sorted result into the
-  /// vector it is handed; it may run concurrently with other computes (never
-  /// under a shard lock).
-  std::shared_ptr<const std::vector<uint32_t>> GetOrCompute(
-      int column_gid, bool exact, std::span<const uint32_t> ids,
-      const std::function<void(std::vector<uint32_t>*)>& compute);
-
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
+  /// with `compute(std::vector<uint32_t>* out)` on miss; `compute` must
+  /// write the sorted result into `out`. The reference stays valid across
+  /// later lookups: the map is node-based.
+  template <typename Compute>
+  const std::vector<uint32_t>& GetOrCompute(int column_gid, bool exact,
+                                            std::span<const uint32_t> ids,
+                                            Compute&& compute) {
+    ++lookups_;
+    auto it = map_.find(KeyView{column_gid, exact, ids});
+    if (it != map_.end()) {
+      ++hits_;
+      return it->second;
+    }
+    std::vector<uint32_t> rows;
+    compute(&rows);
+    return map_
+        .emplace(Key{column_gid, exact,
+                     std::vector<uint32_t>(ids.begin(), ids.end())},
+                 std::move(rows))
+        .first->second;
   }
+
+  uint64_t hits() const { return hits_; }
+  uint64_t lookups() const { return lookups_; }
 
  private:
   struct Key {
@@ -85,16 +92,10 @@ class MatchCache {
       return Same(a.gid, a.exact, a.ids, b.gid, b.exact, b.ids);
     }
   };
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<Key, std::shared_ptr<const std::vector<uint32_t>>,
-                       Hash, Eq>
-        map;
-  };
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> lookups_{0};
+  std::unordered_map<Key, std::vector<uint32_t>, Hash, Eq> map_;
+  uint64_t hits_ = 0;
+  uint64_t lookups_ = 0;
 };
 
 }  // namespace qbe

@@ -30,8 +30,8 @@ struct PhrasePredicate {
   ColumnRef column;
   std::vector<std::string> tokens;
   bool exact = false;
-  std::vector<uint32_t> ids;
-  Hash128 fingerprint;
+  std::vector<uint32_t> ids{};
+  Hash128 fingerprint{};
 };
 
 }  // namespace qbe

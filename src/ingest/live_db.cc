@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "obs/trace.h"
 #include "snapshot/snapshot.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -119,15 +118,9 @@ bool LiveDatabase::ValidateAppend(const DbView& view, int rel,
   return true;
 }
 
-void LiveDatabase::set_trace(TraceContext* trace) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  trace_ = trace;
-}
-
 bool LiveDatabase::CommitLocked(std::vector<WalRecord> records,
                                 std::string* error) {
   if (wal_.is_open()) {
-    ScopedSpan wal_span(trace_, SpanKind::kWalAppend);
     for (const WalRecord& record : records) {
       if (!wal_.Append(record, error)) return false;
     }
@@ -224,7 +217,6 @@ bool LiveDatabase::AttachWal(const std::string& path, std::string* error) {
     }
     return false;
   }
-  ScopedSpan replay_span(trace_, SpanKind::kWalReplay);
   WalReadResult log = ReadWal(path);
   if (!log.ok) {
     if (error != nullptr) *error = log.error;
@@ -367,7 +359,6 @@ bool LiveDatabase::Compact(const std::string& snapshot_path,
   Fold fold;
   if (!BeginFold(snapshot_path, &fold, error)) return false;
   if (fold.folded_ops == 0) return true;  // nothing to fold
-  ScopedSpan compact_span(fold.trace, SpanKind::kCompaction);
   MergedBase merged;
   if (!MergeFold(fold, snapshot_path, &merged, error)) return false;
   if (!InstallFold(fold, std::move(merged), snapshot_path, stats, error)) {
@@ -395,7 +386,6 @@ bool LiveDatabase::BeginFold(const std::string& snapshot_path, Fold* fold,
       std::count_if(ops_.begin(), ops_.end(), [](const WalRecord& op) {
         return op.kind == WalRecord::kAppend;
       }));
-  fold->trace = trace_;
   return true;
 }
 

@@ -14,8 +14,6 @@
 
 namespace qbe {
 
-class TraceContext;
-
 /// One pinned epoch: an immutable base plus an immutable delta overlay.
 /// Copying a DbVersion is an RCU-style pin — the shared_ptrs keep both
 /// alive for as long as an in-flight discovery needs them, no matter how
@@ -111,12 +109,6 @@ class LiveDatabase {
   bool Compact(const std::string& snapshot_path, std::string* error,
                CompactionStats* stats = nullptr);
 
-  /// Arms (null = disarms) tracing of writer-side work: WAL append/sync,
-  /// WAL replay, and compaction record spans into `trace` (obs/trace.h).
-  /// Observation-only — published epochs and overlay contents are
-  /// unaffected. Not owned; must outlive the mutations it covers.
-  void set_trace(TraceContext* trace);
-
  private:
   friend class CompactionFoldTest;
 
@@ -126,7 +118,6 @@ class LiveDatabase {
     DbVersion pinned;
     size_t folded_ops = 0;
     size_t merged_appends = 0;
-    TraceContext* trace = nullptr;
   };
 
   /// A fold's merged base, built with no lock held.
@@ -174,7 +165,6 @@ class LiveDatabase {
   // Op log since the last compaction; guarded by writer_mu_.
   std::vector<WalRecord> ops_;
   WalWriter wal_;
-  TraceContext* trace_ = nullptr;  // guarded by writer_mu_
 };
 
 /// Materializes the merged logical contents of `view` as a fresh standalone

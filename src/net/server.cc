@@ -290,7 +290,7 @@ void NetServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
     // The span covers only the socket drain + framing; it must be closed
     // before any path that might close the connection (closing stitches
     // the trace, and the root span has to outlive its children).
-    ScopedSpan span(conn->trace.get(), SpanKind::kNetRead, conn->root_span);
+    ScopedSpan span(conn->trace.get(), SpanKind::kNetRead);
     for (;;) {
       ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
       if (n > 0) {
@@ -457,7 +457,7 @@ void NetServer::TryFlush(const std::shared_ptr<Connection>& conn) {
   {
     // Span scoped to the send loop only: it must close before any
     // CloseConnection below stitches the trace.
-    ScopedSpan span(conn->trace.get(), SpanKind::kNetWrite, conn->root_span);
+    ScopedSpan span(conn->trace.get(), SpanKind::kNetWrite);
     while (conn->out_offset < conn->outbuf.size()) {
       ssize_t w = ::send(conn->fd, conn->outbuf.data() + conn->out_offset,
                          conn->outbuf.size() - conn->out_offset, MSG_NOSIGNAL);

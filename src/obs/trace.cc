@@ -18,25 +18,8 @@ int64_t SteadyNowNs() {
 constexpr size_t kNumCounters =
     static_cast<size_t>(TraceCounter::kNumCounters);
 
-// Thread-local cache of the last (context, lane) pairing so a worker that
-// records thousands of spans for one request resolves its lane with one
-// integer compare instead of a mutex-guarded map lookup. Keyed on the
-// context's process-unique generation, NOT its address: a freed context's
-// address can be reused by the next request's context while this thread
-// still holds the old lane pointer (generation 0 is never assigned).
-struct LaneCacheEntry {
-  uint64_t generation = 0;
-  void* lane = nullptr;
-};
-thread_local LaneCacheEntry t_lane_cache;
-
-std::atomic<uint64_t> g_next_generation{1};
-
-inline SpanRef PackRef(uint32_t lane, uint32_t index) {
-  return (lane << 20) | (index + 1);
-}
-inline uint32_t RefLane(SpanRef ref) { return ref >> 20; }
-inline uint32_t RefIndex(SpanRef ref) { return (ref & 0xFFFFF) - 1; }
+constexpr char kOwnerMessage[] =
+    "TraceContext used from a second thread; a request records on one thread";
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -63,9 +46,6 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kEvalCacheKey: return "cache_key";
     case SpanKind::kEvalCacheLookup: return "eval_cache_lookup";
     case SpanKind::kTextMatch: return "text_match";
-    case SpanKind::kWalAppend: return "wal_append";
-    case SpanKind::kWalReplay: return "wal_replay";
-    case SpanKind::kCompaction: return "compaction";
     case SpanKind::kNetRead: return "net_read";
     case SpanKind::kNetWrite: return "net_write";
     case SpanKind::kNumKinds: break;
@@ -139,14 +119,9 @@ bool Trace::WellFormed(std::string* why) const {
   return true;
 }
 
-TraceContext::TraceContext(TraceConfig config)
-    : config_(config),
-      generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed)) {
-  QBE_CHECK(config_.max_spans_per_lane >= 1 &&
-            config_.max_spans_per_lane < (1u << 20));
-  QBE_CHECK(config_.max_lanes >= 1 && config_.max_lanes <= (1u << 11));
+TraceContext::TraceContext(TraceConfig config) : config_(config) {
+  QBE_CHECK(config_.max_spans >= 1);
   epoch_ns_ = config_.clock != nullptr ? config_.clock() : SteadyNowNs();
-  lanes_.reserve(config_.max_lanes);
 }
 
 TraceContext::~TraceContext() = default;
@@ -156,113 +131,61 @@ int64_t TraceContext::NowNs() const {
          epoch_ns_;
 }
 
-TraceContext::Lane* TraceContext::LaneForThisThread() {
-  if (t_lane_cache.generation == generation_) {
-    return static_cast<Lane*>(t_lane_cache.lane);
-  }
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  auto it = lane_of_thread_.find(std::this_thread::get_id());
-  Lane* lane = nullptr;
-  if (it != lane_of_thread_.end()) {
-    lane = lanes_[it->second].get();
-  } else if (lanes_.size() < config_.max_lanes) {
-    auto fresh = std::make_unique<Lane>();
-    fresh->spans.reserve(config_.max_spans_per_lane);
-    fresh->index = static_cast<uint32_t>(lanes_.size());
-    lane = fresh.get();
-    lane_of_thread_.emplace(std::this_thread::get_id(), fresh->index);
-    lanes_.push_back(std::move(fresh));
-  } else {
-    // Lane budget exhausted: this thread records nothing (counted).
-    unassigned_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  t_lane_cache = LaneCacheEntry{generation_, lane};
-  return lane;
-}
-
-SpanRef TraceContext::OpenSpan(SpanKind kind, SpanRef parent_hint) {
-  Lane* lane = LaneForThisThread();
-  if (lane == nullptr) return kNullSpan;
-  if (lane->spans.size() >= config_.max_spans_per_lane ||
-      lane->depth >= kMaxDepth) {
-    lane->dropped += 1;
+SpanRef TraceContext::OpenSpan(SpanKind kind) {
+  owner_.Check(kOwnerMessage);
+  if (spans_.size() >= config_.max_spans || depth_ >= kMaxDepth) {
+    dropped_ += 1;
     return kNullSpan;
   }
+  // Reserved at the first span, so a context waiting in the service's
+  // admission queue holds no buffer; never reallocated after.
+  if (spans_.capacity() == 0) spans_.reserve(config_.max_spans);
   SpanRec rec;
   rec.kind = kind;
   rec.start_ns = NowNs();
-  rec.parent = lane->depth > 0 ? lane->stack[lane->depth - 1] : parent_hint;
-  uint32_t index = static_cast<uint32_t>(lane->spans.size());
-  lane->spans.push_back(rec);
-  SpanRef ref = PackRef(lane->index, index);
-  lane->stack[lane->depth++] = ref;
+  rec.parent = depth_ > 0 ? stack_[depth_ - 1] : kNullSpan;
+  spans_.push_back(rec);
+  const SpanRef ref = static_cast<SpanRef>(spans_.size());
+  stack_[depth_++] = ref;
   return ref;
 }
 
 void TraceContext::CloseSpan(SpanRef ref) {
   if (ref == kNullSpan) return;
-  Lane* lane = LaneForThisThread();
-  if (lane == nullptr) return;
-  uint32_t index = RefIndex(ref);
-  QBE_CHECK(index < lane->spans.size());
-  lane->spans[index].end_ns = NowNs();
-  if (lane->depth > 0 && lane->stack[lane->depth - 1] == ref) {
-    lane->depth -= 1;
-  }
+  owner_.Check(kOwnerMessage);
+  QBE_CHECK(ref <= spans_.size());
+  spans_[ref - 1].end_ns = NowNs();
+  if (depth_ > 0 && stack_[depth_ - 1] == ref) depth_ -= 1;
 }
 
 void TraceContext::AnnotateShard(SpanRef ref, int shard) {
   if (ref == kNullSpan) return;
-  Lane* lane = LaneForThisThread();
-  if (lane == nullptr) return;
-  uint32_t index = RefIndex(ref);
-  QBE_CHECK(index < lane->spans.size());
-  lane->spans[index].shard = static_cast<int32_t>(shard);
+  owner_.Check(kOwnerMessage);
+  QBE_CHECK(ref <= spans_.size());
+  spans_[ref - 1].shard = static_cast<int32_t>(shard);
 }
 
 void TraceContext::Count(TraceCounter counter, int64_t delta) {
-  Lane* lane = LaneForThisThread();
-  if (lane == nullptr) return;
-  lane->counters[static_cast<size_t>(counter)] += delta;
+  owner_.Check(kOwnerMessage);
+  counters_[static_cast<size_t>(counter)] += delta;
 }
 
 Trace TraceContext::Stitch() const {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
   Trace trace;
   trace.request_id = request_id_;
-  // Global index of each lane's first span, for parent-ref resolution.
-  std::vector<size_t> lane_offset(lanes_.size(), 0);
-  size_t total = 0;
-  for (size_t l = 0; l < lanes_.size(); ++l) {
-    lane_offset[l] = total;
-    total += lanes_[l]->spans.size();
+  trace.spans.reserve(spans_.size());
+  for (const SpanRec& rec : spans_) {
+    TraceSpan span;
+    span.kind = rec.kind;
+    span.start_ns = rec.start_ns;
+    span.end_ns = rec.end_ns;
+    span.shard = rec.shard;
+    span.parent = static_cast<int32_t>(rec.parent) - 1;
+    trace.spans.push_back(span);
   }
-  trace.spans.reserve(total);
-  for (size_t l = 0; l < lanes_.size(); ++l) {
-    const Lane& lane = *lanes_[l];
-    for (const SpanRec& rec : lane.spans) {
-      TraceSpan span;
-      span.kind = rec.kind;
-      span.lane = static_cast<uint32_t>(l);
-      span.start_ns = rec.start_ns;
-      span.end_ns = rec.end_ns;
-      span.shard = rec.shard;
-      span.parent =
-          rec.parent == kNullSpan
-              ? -1
-              : static_cast<int32_t>(lane_offset[RefLane(rec.parent)] +
-                                     RefIndex(rec.parent));
-      trace.spans.push_back(span);
-    }
-    for (size_t c = 0; c < kNumCounters; ++c) {
-      trace.counters[c] += lane.counters[c];
-    }
-    trace.dropped_spans += lane.dropped;
-  }
-  trace.dropped_spans += unassigned_dropped_.load(std::memory_order_relaxed);
-  trace.counters[static_cast<size_t>(TraceCounter::kDroppedSpans)] =
-      trace.dropped_spans;
+  for (size_t c = 0; c < kNumCounters; ++c) trace.counters[c] = counters_[c];
+  trace.dropped_spans = dropped_;
+  trace.counters[static_cast<size_t>(TraceCounter::kDroppedSpans)] = dropped_;
   return trace;
 }
 
@@ -289,10 +212,9 @@ void AppendSpanEvent(const Trace& trace, const TraceSpan& span,
   }
   std::snprintf(buf, sizeof(buf),
                 "%s\n{\"name\":\"%s\",\"cat\":\"qbe\",\"ph\":\"X\","
-                "\"ts\":%.3f,\"dur\":%.3f,\"pid\":%llu,\"tid\":%u%s}",
+                "\"ts\":%.3f,\"dur\":%.3f,\"pid\":%llu,\"tid\":0%s}",
                 *first ? "" : ",", SpanKindName(span.kind), ts_us, dur_us,
-                static_cast<unsigned long long>(trace.request_id),
-                span.lane, args);
+                static_cast<unsigned long long>(trace.request_id), args);
   *first = false;
   out->append(buf);
 }

@@ -1,14 +1,11 @@
 #ifndef QBE_OBS_TRACE_H_
 #define QBE_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
+
+#include "util/owner_thread.h"
 
 namespace qbe {
 
@@ -19,17 +16,18 @@ namespace qbe {
 /// of nested spans with nanosecond timings plus per-phase counters. The
 /// recording path is built for the verify hot loop:
 ///
-///  - per-thread lanes: each recording thread gets its own preallocated
-///    span buffer and counter array, so Open/Close/Count never contend and
-///    never allocate (lane registration — once per thread per request — is
-///    the only mutex touch);
-///  - fixed span capacity: a full lane drops further spans (counted in
+///  - one writer: a request runs on one thread, so a context owns one
+///    preallocated span buffer, one open-span stack and one counter array,
+///    and Open/Close/Count take no lock and never allocate. The first
+///    recording thread pins the context; a record from any other thread
+///    fails a QBE_CHECK (util/owner_thread.h);
+///  - fixed span capacity: a full buffer drops further spans (counted in
 ///    kDroppedSpans) instead of growing, keeping the memory bound hard;
 ///  - null-context short-circuit: every instrumentation site guards on
 ///    `trace == nullptr`, so an untraced run costs one predictable branch
 ///    and is bit-identical to an uninstrumented build.
 ///
-/// At request end Stitch() merges the lanes into one Trace whose span tree
+/// At request end Stitch() copies the buffer into one Trace whose span tree
 /// satisfies: balanced open/close, monotonic clocks (end >= start), and
 /// parent containment (a child's interval lies within its parent's) — the
 /// invariants tests/trace_test.cc locks down.
@@ -51,9 +49,6 @@ enum class SpanKind : uint8_t {
   kEvalCacheKey,     // building one existence query's eval-cache key
   kEvalCacheLookup,  // shared verification-outcome cache probe
   kTextMatch,        // phrase/exact matching inside one SeedNode
-  kWalAppend,        // ingest: one WAL-logged mutation commit
-  kWalReplay,        // ingest: WAL replay at attach
-  kCompaction,       // ingest: overlay fold into a fresh base
   kNetRead,          // net: draining + framing one socket readable event
   kNetWrite,         // net: flushing buffered response bytes to a socket
   kNumKinds
@@ -61,7 +56,7 @@ enum class SpanKind : uint8_t {
 
 const char* SpanKindName(SpanKind kind);
 
-/// Counters accumulated per lane and summed at stitch time.
+/// Counters accumulated per request.
 enum class TraceCounter : uint8_t {
   kCandidatesGenerated = 0,
   kQueriesVerified,   // existence queries actually executed
@@ -81,17 +76,15 @@ enum class TraceCounter : uint8_t {
 
 const char* TraceCounterName(TraceCounter counter);
 
-/// Handle to a recorded span: lane index << 20 | (span index + 1).
-/// 0 = null (span was dropped or tracing is off); Close on null is a no-op.
+/// Handle to a recorded span: span index + 1. 0 = null (span was dropped
+/// or tracing is off); Close on null is a no-op.
 using SpanRef = uint32_t;
 inline constexpr SpanRef kNullSpan = 0;
 
 struct TraceConfig {
-  /// Hard cap on spans recorded per lane; the overflow is dropped and
-  /// counted. 2^20-1 is the representable maximum (SpanRef packing).
-  uint32_t max_spans_per_lane = 32768;
-  /// Hard cap on recording threads; late threads drop their spans.
-  uint32_t max_lanes = 32;
+  /// Hard cap on spans recorded per request; the overflow is dropped and
+  /// counted.
+  uint32_t max_spans = 32768;
   /// Test seam: injectable monotonic nanosecond clock. Null = the real
   /// steady clock. A plain function pointer so the hot path stays cheap.
   int64_t (*clock)() = nullptr;
@@ -100,7 +93,6 @@ struct TraceConfig {
 /// One span of a stitched Trace.
 struct TraceSpan {
   SpanKind kind = SpanKind::kRequest;
-  uint32_t lane = 0;
   int64_t start_ns = 0;
   int64_t end_ns = -1;  // -1: never closed (malformed tree)
   int32_t parent = -1;  // index into Trace::spans; -1 = root
@@ -128,10 +120,10 @@ struct Trace {
   bool WellFormed(std::string* why = nullptr) const;
 };
 
-/// Live recording context for one request. Thread-safe: any number of
-/// threads may open/close spans and bump counters concurrently; each writes
-/// only to its own lane. Stitch() must be called after all recording
-/// threads are done (the request barrier guarantees this).
+/// Live recording context for one request. Not thread-safe: every record
+/// (OpenSpan, CloseSpan, AnnotateShard, Count) must come from the one
+/// thread that made the first; creating the context and setting its id
+/// may happen elsewhere (the service admits on the caller's thread).
 class TraceContext {
  public:
   explicit TraceContext(TraceConfig config = {});
@@ -139,19 +131,16 @@ class TraceContext {
   TraceContext(const TraceContext&) = delete;
   TraceContext& operator=(const TraceContext&) = delete;
 
-  /// Opens a span. `parent_hint` supplies the parent when this thread has
-  /// no enclosing open span (its lane is empty, e.g. the span it should
-  /// hang off lives on another lane); with an enclosing span on this lane,
-  /// nesting wins and the hint is ignored.
-  SpanRef OpenSpan(SpanKind kind, SpanRef parent_hint = kNullSpan);
+  /// Opens a span nested under the innermost open one (a root when none is
+  /// open).
+  SpanRef OpenSpan(SpanKind kind);
 
-  /// Closes `ref` (no-op for kNullSpan). Must be called on the opening
-  /// thread in LIFO order — ScopedSpan guarantees both.
+  /// Closes `ref` (no-op for kNullSpan). Must be called in LIFO order —
+  /// ScopedSpan guarantees it.
   void CloseSpan(SpanRef ref);
 
   /// Tags `ref` with the shard that answered it (sharded scatter-gather;
-  /// DESIGN.md §15). Same discipline as CloseSpan: opening thread, while
-  /// the span is open. No-op for kNullSpan.
+  /// DESIGN.md §15), while the span is open. No-op for kNullSpan.
   void AnnotateShard(SpanRef ref, int shard);
 
   void Count(TraceCounter counter, int64_t delta);
@@ -162,53 +151,39 @@ class TraceContext {
   uint64_t request_id() const { return request_id_; }
   void set_request_id(uint64_t id) { request_id_ = id; }
 
-  /// Merges all lanes into one Trace (see invariants above). Safe to call
-  /// repeatedly; recording after a Stitch is allowed but unusual.
+  /// Copies the recorded spans and counters into one Trace (see invariants
+  /// above). Safe to call repeatedly; recording after a Stitch is allowed
+  /// but unusual.
   Trace Stitch() const;
 
  private:
   struct SpanRec {
     int64_t start_ns = 0;
     int64_t end_ns = -1;
-    SpanRef parent = kNullSpan;  // packed ref, resolved at stitch
+    SpanRef parent = kNullSpan;
     SpanKind kind = SpanKind::kRequest;
     int32_t shard = -1;
   };
 
   static constexpr int kMaxDepth = 64;
 
-  struct Lane {
-    std::vector<SpanRec> spans;  // reserved up front, never reallocated
-    uint32_t stack[kMaxDepth];   // open spans, innermost last
-    uint32_t index = 0;          // this lane's slot in lanes_
-    int depth = 0;
-    int64_t counters[static_cast<size_t>(TraceCounter::kNumCounters)] = {};
-    int64_t dropped = 0;
-  };
-
-  Lane* LaneForThisThread();
-
   TraceConfig config_;
   int64_t epoch_ns_;  // absolute clock value at construction
   uint64_t request_id_ = 0;
-  /// Process-unique, never-reused id keying the per-thread lane cache.
-  /// Keying on `this` would serve a stale freed lane when a context is
-  /// destroyed (possibly on another thread) and its address is reused by
-  /// the next request's context.
-  uint64_t generation_;
+  OwnerThread owner_;
 
-  mutable std::mutex lanes_mu_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::unordered_map<std::thread::id, uint32_t> lane_of_thread_;
-  std::atomic<int64_t> unassigned_dropped_{0};  // beyond max_lanes
+  std::vector<SpanRec> spans_;     // reserved at the first span
+  SpanRef stack_[kMaxDepth] = {};  // open spans, innermost last
+  int depth_ = 0;
+  int64_t counters_[static_cast<size_t>(TraceCounter::kNumCounters)] = {};
+  int64_t dropped_ = 0;
 };
 
 /// RAII span; tolerates a null context (records nothing).
 class ScopedSpan {
  public:
-  ScopedSpan(TraceContext* ctx, SpanKind kind, SpanRef parent_hint = kNullSpan)
-      : ctx_(ctx),
-        ref_(ctx == nullptr ? kNullSpan : ctx->OpenSpan(kind, parent_hint)) {}
+  ScopedSpan(TraceContext* ctx, SpanKind kind)
+      : ctx_(ctx), ref_(ctx == nullptr ? kNullSpan : ctx->OpenSpan(kind)) {}
   ~ScopedSpan() {
     if (ctx_ != nullptr) ctx_->CloseSpan(ref_);
   }
@@ -235,7 +210,7 @@ struct TraceSampler {
 
 /// Renders traces as Chrome trace-event JSON ("X" complete events, ts/dur
 /// in microseconds), loadable in chrome://tracing or Perfetto. Each trace
-/// becomes one process (pid = request id), each lane one thread.
+/// becomes one process (pid = request id) with one thread (tid 0).
 std::string ChromeTraceJson(const std::vector<Trace>& traces);
 std::string ChromeTraceJson(const Trace& trace);
 

@@ -21,6 +21,8 @@ ShardExecSet::ShardExecSet(std::span<const DbView> views,
 bool ShardExecSet::Exists(const JoinTree& tree,
                           const std::vector<PhrasePredicate>& predicates,
                           TraceContext* trace, SpanRef span) const {
+  owner_.Check(
+      "ShardExecSet used from a second thread; a request runs on one thread");
   if (shards_.size() == 1) {
     const Shard& shard = *shards_[0];
     return shard.exec.Exists(tree, predicates, shard.memo.get(),
@@ -35,21 +37,19 @@ bool ShardExecSet::Exists(const JoinTree& tree,
       if (shard.exec_view.LiveRows(v) == 0) has_empty_vertex = true;
     });
     if (has_empty_vertex) {
-      shard.skipped_empty.fetch_add(1, std::memory_order_relaxed);
+      shard.skipped_empty += 1;
       continue;
     }
-    shard.probes.fetch_add(1, std::memory_order_relaxed);
+    shard.probes += 1;
     if (trace != nullptr) trace->Count(TraceCounter::kShardProbes, 1);
     const auto t0 = std::chrono::steady_clock::now();
     const bool found = shard.exec.Exists(tree, predicates, shard.memo.get(),
                                          shard.match_cache.get(), trace);
-    shard.busy_ns.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count(),
-        std::memory_order_relaxed);
+    shard.busy_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
     if (found) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
+      shard.hits += 1;
       if (trace != nullptr) trace->AnnotateShard(span, static_cast<int>(s));
       return true;
     }
@@ -88,12 +88,10 @@ ShardStats ShardExecSet::Stats() const {
   int active = 0;
   for (const auto& shard : shards_) {
     ShardCounters c;
-    c.probes = shard->probes.load(std::memory_order_relaxed);
-    c.hits = shard->hits.load(std::memory_order_relaxed);
-    c.skipped_empty = shard->skipped_empty.load(std::memory_order_relaxed);
-    c.busy_seconds =
-        static_cast<double>(shard->busy_ns.load(std::memory_order_relaxed)) /
-        1e9;
+    c.probes = shard->probes;
+    c.hits = shard->hits;
+    c.skipped_empty = shard->skipped_empty;
+    c.busy_seconds = static_cast<double>(shard->busy_ns) / 1e9;
     stats.per_shard.push_back(c);
     if (c.probes == 0) continue;
     max_busy = std::max(max_busy, c.busy_seconds);

@@ -1,7 +1,6 @@
 #ifndef QBE_SHARD_SHARD_EXEC_H_
 #define QBE_SHARD_SHARD_EXEC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -12,6 +11,7 @@
 #include "ingest/db_view.h"
 #include "obs/trace.h"
 #include "schema/schema_graph.h"
+#include "util/owner_thread.h"
 
 namespace qbe {
 
@@ -62,6 +62,10 @@ struct ShardExecOptions {
 /// affects which shard answers, never the answer, and EvalEngine charges
 /// its counters once per logical query, so verification counts and
 /// outcomes are the same for every partition of the data.
+///
+/// Not thread-safe: a request runs on one thread (DESIGN.md §9), so the
+/// caches and counters take no lock. The first thread to call Exists pins
+/// the set; a call from any other thread fails a QBE_CHECK.
 class ShardExecSet {
  public:
   /// Copies the views (cheap value types); the data they pin must outlive
@@ -79,7 +83,6 @@ class ShardExecSet {
   /// views where any tree vertex has zero live rows are skipped without
   /// executing (an empty vertex admits no witness); each probe is counted
   /// and timed, and `span` is tagged with the answering shard.
-  /// Thread-safe: the caches are thread-safe and the counters atomic.
   bool Exists(const JoinTree& tree,
               const std::vector<PhrasePredicate>& predicates,
               TraceContext* trace, SpanRef span) const;
@@ -105,10 +108,10 @@ class ShardExecSet {
     Executor exec;
     std::unique_ptr<Executor::SubtreeMemo> memo;
     std::unique_ptr<MatchCache> match_cache;
-    std::atomic<int64_t> probes{0};
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> skipped_empty{0};
-    std::atomic<int64_t> busy_ns{0};
+    int64_t probes = 0;
+    int64_t hits = 0;
+    int64_t skipped_empty = 0;
+    int64_t busy_ns = 0;
 
     Shard(const DbView& view, const SchemaGraph& graph,
           const ShardExecOptions& options)
@@ -121,9 +124,10 @@ class ShardExecSet {
                                               : nullptr) {}
   };
 
-  // unique_ptr per shard: Shard holds atomics and an Executor referencing
-  // its own exec_view, so elements must never move.
+  // unique_ptr per shard: Shard holds an Executor referencing its own
+  // exec_view, so elements must never move.
   std::vector<std::unique_ptr<Shard>> shards_;
+  OwnerThread owner_;
 };
 
 }  // namespace qbe

@@ -83,7 +83,9 @@ TEST_F(CustIntegrationTest, AuxRelationsStayOutOfJoins) {
       q.tree.verts.ForEach([&](int v) {
         has_aux |= db_->relation(v).name().substr(0, 4) == "aux_";
       });
-      if (has_aux) EXPECT_EQ(q.tree.NumVertices(), 1);
+      if (has_aux) {
+        EXPECT_EQ(q.tree.NumVertices(), 1);
+      }
     }
   }
 }

@@ -96,10 +96,17 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       // No structured bindings here: commas inside [] are not protected
       // from the preprocessor within a macro argument.
-      return "m" + std::to_string(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(static_cast<int>(std::get<2>(info.param) * 10)) +
-             "_v" + std::to_string(std::get<3>(info.param));
+      // Appends, not "m" + std::to_string(...): gcc 12 reports a false
+      // -Wrestrict on const char* + std::string&& at -O2 and above.
+      std::string name = "m";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_n";
+      name += std::to_string(std::get<1>(info.param));
+      name += "_s";
+      name += std::to_string(static_cast<int>(std::get<2>(info.param) * 10));
+      name += "_v";
+      name += std::to_string(std::get<3>(info.param));
+      return name;
     });
 
 }  // namespace

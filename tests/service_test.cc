@@ -21,9 +21,12 @@
 #include "datagen/imdb_like.h"
 #include "datagen/retailer.h"
 #include "exec/executor.h"
+#include "obs/trace.h"
 #include "schema/schema_graph.h"
 #include "service/concurrent_eval_cache.h"
 #include "service/serve_args.h"
+#include "shard/shard_exec.h"
+#include "test_util.h"
 
 namespace qbe {
 namespace {
@@ -325,11 +328,11 @@ TEST(ServiceTest, GracefulShutdownDrainsInFlightRequests) {
   EXPECT_GE(service.metrics().GetCounter("requests_shutdown").Value(), 1);
 }
 
-#ifndef NDEBUG
-TEST(EvalCacheDeathTest, SecondThreadUseAbortsInDebugBuilds) {
-  // The raw single-threaded EvalCache pins itself to its first user's
-  // thread; any cross-thread use is a contract violation caught in debug
-  // builds (release builds must use ConcurrentEvalCache for sharing).
+TEST(OwnerThreadDeathTest, SecondThreadUseAborts) {
+  // Per-request state takes no lock: each object is pinned to the first
+  // thread that uses it, and a use from a second thread aborts naming the
+  // object, in every build type. Requests that share one cache across
+  // threads use ConcurrentEvalCache.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -339,8 +342,28 @@ TEST(EvalCacheDeathTest, SecondThreadUseAbortsInDebugBuilds) {
         second.join();
       },
       "EvalCache used from a second thread");
+  EXPECT_DEATH(
+      {
+        TraceContext trace;
+        ScopedSpan root(&trace, SpanKind::kRequest);
+        std::thread second([&trace] {
+          ScopedSpan span(&trace, SpanKind::kEvalExec);
+        });
+        second.join();
+      },
+      "TraceContext used from a second thread");
+  EXPECT_DEATH(
+      {
+        Database db = MakeRetailerDatabase();
+        SchemaGraph graph(db);
+        ShardExecSet probes(DbView(db), graph);
+        const JoinTree tree = test::Tree(db, graph, {"Sales", "Customer"});
+        probes.Exists(tree, {}, nullptr, kNullSpan);
+        std::thread second([&] { probes.Exists(tree, {}, nullptr, kNullSpan); });
+        second.join();
+      },
+      "ShardExecSet used from a second thread");
 }
-#endif
 
 TEST(ServiceTest, SessionsShareServiceCache) {
   // Two DiscoverySessions on different "users" sharing one concurrent

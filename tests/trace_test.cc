@@ -110,7 +110,7 @@ TEST(TraceContextTest, ChildEscapingItsParentIsDetected) {
 
 TEST(TraceContextTest, FullLaneDropsAndCountsSpans) {
   TraceConfig config = FakeClockConfig();
-  config.max_spans_per_lane = 4;
+  config.max_spans = 4;
   g_fake_now_ns = 0;
   TraceContext ctx(config);
   for (int i = 0; i < 10; ++i) {
@@ -125,57 +125,6 @@ TEST(TraceContextTest, FullLaneDropsAndCountsSpans) {
   EXPECT_EQ(trace.counter(TraceCounter::kDroppedSpans), 6);
   std::string why;
   EXPECT_TRUE(trace.WellFormed(&why)) << why;  // what was recorded is sound
-}
-
-TEST(TraceContextTest, CrossThreadSpansAttachViaParentHint) {
-  g_fake_now_ns = 0;
-  TraceContext ctx(FakeClockConfig());
-  g_fake_now_ns = 100;
-  SpanRef verify = ctx.OpenSpan(SpanKind::kFilter);
-  std::thread worker([&ctx, verify] {
-    // A verify-pool worker's lane has no enclosing span; the hint makes
-    // its evaluations children of the request's verify span.
-    g_fake_now_ns = 200;
-    ScopedSpan eval(&ctx, SpanKind::kEvalExec, verify);
-    g_fake_now_ns = 300;
-  });
-  worker.join();
-  g_fake_now_ns = 400;
-  ctx.CloseSpan(verify);
-
-  Trace trace = ctx.Stitch();
-  std::string why;
-  EXPECT_TRUE(trace.WellFormed(&why)) << why;
-  ASSERT_EQ(trace.spans.size(), 2u);
-  EXPECT_EQ(trace.spans[1].kind, SpanKind::kEvalExec);
-  EXPECT_EQ(trace.spans[1].parent, 0);
-  EXPECT_NE(trace.spans[0].lane, trace.spans[1].lane);
-}
-
-TEST(TraceContextTest, EnclosingSpanWinsOverParentHint) {
-  g_fake_now_ns = 0;
-  TraceContext ctx(FakeClockConfig());
-  SpanRef a = ctx.OpenSpan(SpanKind::kRequest);
-  SpanRef b = ctx.OpenSpan(SpanKind::kEvalExec, /*parent_hint=*/kNullSpan);
-  g_fake_now_ns = 50;
-  ctx.CloseSpan(b);
-  ctx.CloseSpan(a);
-  Trace trace = ctx.Stitch();
-  ASSERT_EQ(trace.spans.size(), 2u);
-  EXPECT_EQ(trace.spans[1].parent, 0);  // nested under a, hint ignored
-}
-
-TEST(TraceContextTest, CountersSumAcrossLanes) {
-  TraceContext ctx;
-  ctx.Count(TraceCounter::kQueriesVerified, 3);
-  std::thread worker([&ctx] {
-    ctx.Count(TraceCounter::kQueriesVerified, 4);
-    ctx.Count(TraceCounter::kEvalCacheHits, 1);
-  });
-  worker.join();
-  Trace trace = ctx.Stitch();
-  EXPECT_EQ(trace.counter(TraceCounter::kQueriesVerified), 7);
-  EXPECT_EQ(trace.counter(TraceCounter::kEvalCacheHits), 1);
 }
 
 TEST(TraceSamplerTest, DeterministicAndRateProportional) {

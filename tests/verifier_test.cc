@@ -68,7 +68,9 @@ TEST_F(VerifierTest, VerifyAllFindsOnlyCq1) {
   JoinTree cq1 = test::Tree(db_, graph_,
                             {"Sales", "Customer", "Device", "App"});
   for (size_t q = 0; q < candidates_.size(); ++q) {
-    if (valid[q]) EXPECT_TRUE(candidates_[q].tree == cq1);
+    if (valid[q]) {
+      EXPECT_TRUE(candidates_[q].tree == cq1);
+    }
   }
   EXPECT_GT(counters.verifications, 0);
   EXPECT_GT(counters.estimated_cost, 0);
