@@ -35,28 +35,30 @@ void Run(const BenchArgs& args) {
       bundle.ets->SampleMany(params, args.ets_per_point, args.seed);
 
   std::vector<Variant> variants;
-  variants.push_back({"VerifyAll(random)",
-                      std::make_unique<VerifyAll>(RowOrder::kRandom)});
+  variants.push_back(
+      {"VerifyAll(random)",
+       std::make_unique<VerifyAll>(RowOrder::kRandom, args.seed)});
   variants.push_back({"VerifyAll(dense-first)",
                       std::make_unique<VerifyAll>(RowOrder::kDenseFirst)});
-  variants.push_back({"SimplePrune(random)",
-                      std::make_unique<SimplePrune>(RowOrder::kRandom)});
+  variants.push_back(
+      {"SimplePrune(random)",
+       std::make_unique<SimplePrune>(RowOrder::kRandom, args.seed)});
   variants.push_back({"SimplePrune(dense-first)",
                       std::make_unique<SimplePrune>(RowOrder::kDenseFirst)});
   for (double prior : {0.0, 0.05, 0.1, 0.2, 0.5}) {
     variants.push_back({"Filter(p=" + FormatDouble(prior, 2) + ")",
-                        std::make_unique<FilterVerifier>(prior, false)});
+                        std::make_unique<FilterVerifier>(
+                            FilterVerifier::Options{.failure_prior = prior,
+                                                    .lazy_greedy = false})});
   }
   variants.push_back(
-      {"Filter(lazy greedy)", std::make_unique<FilterVerifier>(0.1, true)});
-  {
-    FilterVerifier::Options options;
-    options.adaptive_prior = true;
-    variants.push_back({"Filter(adaptive prior)",
-                        std::make_unique<FilterVerifier>(options)});
-  }
-  variants.push_back(
-      {"Filter(exact greedy)", std::make_unique<FilterVerifier>(0.1, false)});
+      {"Filter(lazy greedy)", std::make_unique<FilterVerifier>()});
+  variants.push_back({"Filter(adaptive prior)",
+                      std::make_unique<FilterVerifier>(
+                          FilterVerifier::Options{.adaptive_prior = true})});
+  variants.push_back({"Filter(exact greedy)",
+                      std::make_unique<FilterVerifier>(
+                          FilterVerifier::Options{.lazy_greedy = false})});
   variants.push_back({"ExecuteAll", std::make_unique<ExecuteAll>()});
   // The subtree memo switched off, to isolate its contribution. These reuse
   // the default-configured algorithms, so rows are directly comparable to
@@ -77,8 +79,7 @@ void Run(const BenchArgs& args) {
       ShardExecOptions probe_options;
       probe_options.subtree_memo = variants[v].subtree_memo;
       ShardExecSet probes(DbView(*bundle.db), *bundle.graph, probe_options);
-      VerifyContext ctx{*bundle.db, *bundle.graph, probes,
-                        et,         candidates,    args.seed};
+      VerifyContext ctx{*bundle.db, *bundle.graph, probes, et, candidates};
       VerificationCounters counters;
       std::vector<bool> valid = variants[v].algo->Verify(ctx, &counters);
       probes.AddCacheCounters(&counters);

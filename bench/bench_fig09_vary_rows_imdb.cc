@@ -8,8 +8,8 @@
 #include "harness/experiment.h"
 
 int main(int argc, char** argv) {
-  qbe::BenchArgs args = qbe::ParseBenchArgs(
-      argc, argv, /*default_ets=*/50, /*default_scale=*/1.0, qbe::kJsonOutput);
+  qbe::BenchArgs args = qbe::ParseBenchArgs(argc, argv, /*default_ets=*/50,
+                                            /*default_scale=*/1.0);
   qbe::Bundle bundle =
       qbe::MakeBundle(qbe::DatasetKind::kImdb, args.scale, args.seed);
   std::vector<qbe::AlgoKind> algos = {qbe::AlgoKind::kVerifyAll,
@@ -27,10 +27,5 @@ int main(int argc, char** argv) {
   }
   qbe::PrintSweep("Figure 9: vary the number of rows (IMDB)", "m", labels,
                   points);
-  if (!args.json_path.empty()) {
-    qbe::WriteSweepJson(args.json_path,
-                        "Figure 9: vary the number of rows (IMDB)", "m",
-                        labels, points);
-  }
   return 0;
 }

@@ -285,7 +285,7 @@ void BM_FilterVerifyImdb(benchmark::State& state) {
   FilterVerifier filter;
   for (auto _ : state) {
     ShardExecSet probes(DbView(db), graph);
-    VerifyContext ctx{db, graph, probes, et, candidates, 42};
+    VerifyContext ctx{db, graph, probes, et, candidates};
     VerificationCounters counters;
     benchmark::DoNotOptimize(filter.Verify(ctx, &counters));
     state.counters["verifications"] =
@@ -299,7 +299,7 @@ void BM_FilterVerifyCustHeavy(benchmark::State& state) {
   FilterVerifier filter;
   for (auto _ : state) {
     ShardExecSet probes(DbView(c.db), c.graph);
-    VerifyContext ctx{c.db, c.graph, probes, c.et, c.candidates, 42};
+    VerifyContext ctx{c.db, c.graph, probes, c.et, c.candidates};
     VerificationCounters counters;
     benchmark::DoNotOptimize(filter.Verify(ctx, &counters));
     state.counters["verifications"] =

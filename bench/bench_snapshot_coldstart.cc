@@ -8,12 +8,11 @@
 // differential check by running a small discovery workload against both
 // databases and requiring identical result sets.
 //
-//   bench_snapshot_coldstart [--scale=X] [--seed=N] [--json=PATH]
+//   bench_snapshot_coldstart [--ets=N] [--scale=X] [--seed=N]
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,9 +54,8 @@ uint64_t DirectoryBytes(const std::filesystem::path& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  qbe::BenchArgs args =
-      qbe::ParseBenchArgs(argc, argv, /*default_ets=*/4,
-                          /*default_scale=*/0.5, qbe::kJsonOutput);
+  qbe::BenchArgs args = qbe::ParseBenchArgs(argc, argv, /*default_ets=*/4,
+                                            /*default_scale=*/0.5);
 
   const std::filesystem::path work =
       std::filesystem::temp_directory_path() /
@@ -131,28 +129,6 @@ int main(int argc, char** argv) {
       static_cast<double>(from_snapshot->MemoryBytes()) / 1e6,
       static_cast<double>(from_snapshot->MappedBytes()) / 1e6,
       csv_sqls.size());
-
-  if (!args.json_path.empty()) {
-    std::ofstream json(args.json_path);
-    QBE_CHECK_MSG(static_cast<bool>(json), "cannot open --json path");
-    json << "{\n"
-         << "  \"title\": \"snapshot_coldstart\",\n"
-         << "  \"dataset\": \"imdb\",\n"
-         << "  \"scale\": " << args.scale << ",\n"
-         << "  \"csv_bytes\": " << csv_bytes << ",\n"
-         << "  \"snapshot_bytes\": " << snapshot_bytes << ",\n"
-         << "  \"csv_load_seconds\": " << csv_seconds << ",\n"
-         << "  \"snapshot_open_seconds\": " << open_seconds << ",\n"
-         << "  \"speedup\": " << speedup << ",\n"
-         << "  \"csv_heap_bytes\": " << from_csv->MemoryBytes() << ",\n"
-         << "  \"snapshot_heap_bytes\": " << from_snapshot->MemoryBytes()
-         << ",\n"
-         << "  \"snapshot_mapped_bytes\": " << from_snapshot->MappedBytes()
-         << ",\n"
-         << "  \"differential_queries\": " << csv_sqls.size() << "\n"
-         << "}\n";
-    std::printf("wrote %s\n", args.json_path.c_str());
-  }
 
   std::error_code ec;
   std::filesystem::remove_all(work, ec);

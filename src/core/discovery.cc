@@ -128,14 +128,15 @@ std::unique_ptr<CandidateVerifier> MakeVerifier(
     const DiscoveryOptions& options) {
   switch (options.algorithm) {
     case Algorithm::kVerifyAll:
-      return std::make_unique<VerifyAll>(options.row_order);
+      return std::make_unique<VerifyAll>();
     case Algorithm::kSimplePrune:
-      return std::make_unique<SimplePrune>(options.row_order);
+      return std::make_unique<SimplePrune>();
     case Algorithm::kFilter:
       return std::make_unique<FilterVerifier>();
     case Algorithm::kFilterExact:
       // Exact greedy argmax (the lazy accelerated scan is the default).
-      return std::make_unique<FilterVerifier>(0.1, false);
+      return std::make_unique<FilterVerifier>(
+          FilterVerifier::Options{.lazy_greedy = false});
     case Algorithm::kWeave:
       return std::make_unique<JoinTreeWeave>();
   }
@@ -246,7 +247,6 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
                     probes,
                     et,
                     candidates,
-                    options.seed,
                     options.cache,
                     options.deadline,
                     views.size() == 1 ? &et_ids[0] : nullptr,

@@ -29,12 +29,6 @@ struct DiscoveryOptions {
 
   Algorithm algorithm = Algorithm::kFilter;
 
-  /// Row order for the baseline algorithms.
-  RowOrder row_order = RowOrder::kDenseFirst;
-
-  /// Seed for any randomized choices (e.g., RowOrder::kRandom).
-  uint64_t seed = 42;
-
   /// Relaxed validity (paper §8 future work): when ≥ 0, a query is
   /// reported if it contains at least this many ET rows in its output
   /// instead of all of them. −1 keeps the paper's strict semantics.
@@ -55,7 +49,7 @@ struct DiscoveryOptions {
   /// when discoveries run concurrently.
   EvalCacheBase* cache = nullptr;
 
-  /// Optional cooperative deadline/cancellation token (per-request timeout
+  /// Optional cooperative deadline token (per-request timeout
   /// in DiscoveryService). Polled between CQ-row verifications; an expired
   /// run returns DiscoveryResult::timed_out with no queries. Not owned.
   const DeadlineToken* deadline = nullptr;

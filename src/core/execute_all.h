@@ -28,7 +28,6 @@ class ExecuteAll : public CandidateVerifier {
   /// candidates whose output exceeds it (keeping results exact).
   explicit ExecuteAll(size_t output_cap = 2000000) : cap_(output_cap) {}
 
-  std::string name() const override { return "ExecuteAll"; }
 
   std::vector<bool> Verify(const VerifyContext& ctx,
                            VerificationCounters* counters) override;

@@ -49,16 +49,6 @@ class FilterVerifier : public CandidateVerifier {
   FilterVerifier() = default;
   explicit FilterVerifier(Options options) : options_(options) {}
 
-  /// Convenience for the common two-knob construction.
-  FilterVerifier(double failure_prior, bool lazy_greedy) {
-    options_.failure_prior = failure_prior;
-    options_.lazy_greedy = lazy_greedy;
-  }
-
-  std::string name() const override {
-    return options_.lazy_greedy ? "Filter(lazy)" : "Filter";
-  }
-
   std::vector<bool> Verify(const VerifyContext& ctx,
                            VerificationCounters* counters) override;
 

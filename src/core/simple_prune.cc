@@ -10,7 +10,7 @@ namespace qbe {
 std::vector<bool> SimplePrune::Verify(const VerifyContext& ctx,
                                       VerificationCounters* counters) {
   Stopwatch timer;
-  std::vector<int> row_order = MakeRowOrder(ctx.et, row_order_, ctx.seed);
+  std::vector<int> row_order = MakeRowOrder(ctx.et, row_order_, seed_);
 
   // Ascending join-tree size maximizes later subtree-of-supertree hits.
   std::vector<int> order(ctx.candidates.size());

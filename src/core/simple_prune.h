@@ -12,16 +12,18 @@ namespace qbe {
 /// pruned without any verification when a recorded failure implies its own.
 class SimplePrune : public CandidateVerifier {
  public:
-  explicit SimplePrune(RowOrder row_order = RowOrder::kDenseFirst)
-      : row_order_(row_order) {}
+  /// `seed` drives RowOrder::kRandom's shuffle and nothing else.
+  explicit SimplePrune(RowOrder row_order = RowOrder::kDenseFirst,
+                       uint64_t seed = 42)
+      : row_order_(row_order), seed_(seed) {}
 
-  std::string name() const override { return "SimplePrune"; }
 
   std::vector<bool> Verify(const VerifyContext& ctx,
                            VerificationCounters* counters) override;
 
  private:
   RowOrder row_order_;
+  uint64_t seed_;
 };
 
 }  // namespace qbe

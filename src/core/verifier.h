@@ -2,7 +2,6 @@
 #define QBE_CORE_VERIFIER_H_
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -91,7 +90,6 @@ struct VerifyContext {
   const ShardExecSet& probes;
   const ExampleTable& et;
   const std::vector<CandidateQuery>& candidates;
-  uint64_t seed = 42;
   /// Optional shared outcome cache; cached answers are served without a
   /// verification (and without charging the counters).
   EvalCacheBase* cache = nullptr;
@@ -157,7 +155,6 @@ std::vector<int> MakeRowOrder(const ExampleTable& et, RowOrder order,
 class CandidateVerifier {
  public:
   virtual ~CandidateVerifier() = default;
-  virtual std::string name() const = 0;
 
   /// Returns valid[i] = whether candidates[i] is valid w.r.t. the whole ET,
   /// and fills `counters`.

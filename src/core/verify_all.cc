@@ -93,7 +93,7 @@ std::vector<int> MakeRowOrder(const ExampleTable& et, RowOrder order,
 std::vector<bool> VerifyAll::Verify(const VerifyContext& ctx,
                                     VerificationCounters* counters) {
   Stopwatch timer;
-  std::vector<int> row_order = MakeRowOrder(ctx.et, row_order_, ctx.seed);
+  std::vector<int> row_order = MakeRowOrder(ctx.et, row_order_, seed_);
   int n = static_cast<int>(ctx.candidates.size());
   std::vector<bool> valid(ctx.candidates.size(), false);
 

@@ -11,16 +11,18 @@ namespace qbe {
 /// not — dense rows first tends to fail candidates earlier.
 class VerifyAll : public CandidateVerifier {
  public:
-  explicit VerifyAll(RowOrder row_order = RowOrder::kDenseFirst)
-      : row_order_(row_order) {}
+  /// `seed` drives RowOrder::kRandom's shuffle and nothing else.
+  explicit VerifyAll(RowOrder row_order = RowOrder::kDenseFirst,
+                     uint64_t seed = 42)
+      : row_order_(row_order), seed_(seed) {}
 
-  std::string name() const override { return "VerifyAll"; }
 
   std::vector<bool> Verify(const VerifyContext& ctx,
                            VerificationCounters* counters) override;
 
  private:
   RowOrder row_order_;
+  uint64_t seed_;
 };
 
 }  // namespace qbe

@@ -17,8 +17,6 @@ namespace qbe {
 /// reports ~10× more verifications.
 class JoinTreeWeave : public CandidateVerifier {
  public:
-  std::string name() const override { return "Weave"; }
-
   std::vector<bool> Verify(const VerifyContext& ctx,
                            VerificationCounters* counters) override;
 };
@@ -37,7 +35,6 @@ class TupleTreeWeave : public CandidateVerifier {
   explicit TupleTreeWeave(size_t per_query_row_cap = 100000)
       : cap_(per_query_row_cap) {}
 
-  std::string name() const override { return "Weave(tuple)"; }
 
   std::vector<bool> Verify(const VerifyContext& ctx,
                            VerificationCounters* counters) override;

@@ -67,16 +67,18 @@ std::string AlgoName(AlgoKind kind) {
 
 namespace {
 
-std::unique_ptr<CandidateVerifier> MakeAlgo(AlgoKind kind) {
+/// `seed` shuffles the baselines' row order (§6 randomizes it).
+std::unique_ptr<CandidateVerifier> MakeAlgo(AlgoKind kind, uint64_t seed) {
   switch (kind) {
     case AlgoKind::kVerifyAll:
-      return std::make_unique<VerifyAll>(RowOrder::kRandom);
+      return std::make_unique<VerifyAll>(RowOrder::kRandom, seed);
     case AlgoKind::kSimplePrune:
-      return std::make_unique<SimplePrune>(RowOrder::kRandom);
+      return std::make_unique<SimplePrune>(RowOrder::kRandom, seed);
     case AlgoKind::kFilter:
       return std::make_unique<FilterVerifier>();
     case AlgoKind::kFilterExact:
-      return std::make_unique<FilterVerifier>(0.1, false);
+      return std::make_unique<FilterVerifier>(
+          FilterVerifier::Options{.lazy_greedy = false});
     case AlgoKind::kWeave:
       return std::make_unique<JoinTreeWeave>();
     case AlgoKind::kWeaveTuple:
@@ -111,9 +113,8 @@ ExperimentPoint RunPoint(const Bundle& bundle,
       // Fresh per-request state for every (ET, verifier) pair: memo on,
       // match cache off (the probe set's defaults).
       ShardExecSet probes(DbView(*bundle.db), *bundle.graph);
-      VerifyContext ctx{*bundle.db, *bundle.graph, probes,
-                        et,         candidates,    seed};
-      std::unique_ptr<CandidateVerifier> algo = MakeAlgo(algos[a]);
+      VerifyContext ctx{*bundle.db, *bundle.graph, probes, et, candidates};
+      std::unique_ptr<CandidateVerifier> algo = MakeAlgo(algos[a], seed);
       VerificationCounters counters;
       std::vector<bool> valid = algo->Verify(ctx, &counters);
       probes.AddCacheCounters(&counters);
@@ -212,87 +213,11 @@ void PrintSweep(const std::string& title, const std::string& param_name,
   std::printf("\n");
 }
 
-
 namespace {
 
-/// Minimal JSON string escape (quotes, backslashes, control characters);
-/// bench titles are ASCII so this covers everything we emit.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-void WriteSweepJson(const std::string& path, const std::string& title,
-                    const std::string& param_name,
-                    const std::vector<std::string>& param_values,
-                    const std::vector<ExperimentPoint>& points) {
-  QBE_CHECK(param_values.size() == points.size());
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  QBE_CHECK_MSG(f != nullptr, "cannot open JSON output path");
-  std::fprintf(f, "{\n  \"title\": \"%s\",\n  \"param\": \"%s\",\n",
-               JsonEscape(title).c_str(), JsonEscape(param_name).c_str());
-  std::fprintf(f, "  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const ExperimentPoint& point = points[i];
-    std::fprintf(f,
-                 "    {\"%s\": \"%s\", \"avg_candidates\": %.6g, "
-                 "\"avg_valid\": %.6g, \"algos\": [\n",
-                 JsonEscape(param_name).c_str(),
-                 JsonEscape(param_values[i]).c_str(), point.avg_candidates,
-                 point.avg_valid);
-    for (size_t a = 0; a < point.algos.size(); ++a) {
-      const AlgoAggregate& agg = point.algos[a];
-      std::fprintf(f,
-                   "      {\"name\": \"%s\", \"avg_verifications\": %.6g, "
-                   "\"avg_millis\": %.6g, \"avg_cost\": %.6g, "
-                   "\"max_verifications\": %.6g, \"max_millis\": %.6g, "
-                   "\"avg_peak_bytes\": %.6g, \"memo_hit_rate\": %.6g}%s\n",
-                   JsonEscape(agg.name).c_str(), agg.avg_verifications,
-                   agg.avg_millis, agg.avg_cost, agg.max_verifications,
-                   agg.max_millis, agg.avg_peak_bytes, agg.MemoHitRate(),
-                   a + 1 < point.algos.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]}%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-namespace {
-
-[[noreturn]] void BenchUsage(const char* prog, unsigned outputs,
-                             const std::string& why) {
-  std::fprintf(stderr,
-               "%s: %s\nusage: %s [--ets=N] [--scale=X] [--seed=N]%s\n",
-               prog, why.c_str(), prog,
-               (outputs & kJsonOutput) != 0 ? " [--json=PATH]" : "");
+[[noreturn]] void BenchUsage(const char* prog, const std::string& why) {
+  std::fprintf(stderr, "%s: %s\nusage: %s [--ets=N] [--scale=X] [--seed=N]\n",
+               prog, why.c_str(), prog);
   std::exit(2);
 }
 
@@ -307,7 +232,7 @@ bool ParseWhole(std::string_view text, T* out) {
 }  // namespace
 
 BenchArgs ParseBenchArgs(int argc, char** argv, int default_ets,
-                         double default_scale, unsigned outputs) {
+                         double default_scale) {
   BenchArgs args;
   args.ets_per_point = default_ets;
   args.scale = default_scale;
@@ -319,10 +244,10 @@ BenchArgs ParseBenchArgs(int argc, char** argv, int default_ets,
     const std::string_view value =
         eq == std::string_view::npos ? std::string_view() : arg.substr(eq + 1);
     const auto bad_value = [&] {
-      BenchUsage(prog, outputs, "bad value in '" + std::string(arg) + "'");
+      BenchUsage(prog, "bad value in '" + std::string(arg) + "'");
     };
     if (eq == std::string_view::npos) {
-      BenchUsage(prog, outputs, "unknown flag '" + std::string(arg) + "'");
+      BenchUsage(prog, "unknown flag '" + std::string(arg) + "'");
     } else if (flag == "--ets") {
       if (!ParseWhole(value, &args.ets_per_point) || args.ets_per_point <= 0) {
         bad_value();
@@ -334,11 +259,8 @@ BenchArgs ParseBenchArgs(int argc, char** argv, int default_ets,
       }
     } else if (flag == "--seed") {
       if (!ParseWhole(value, &args.seed)) bad_value();
-    } else if (flag == "--json" && (outputs & kJsonOutput) != 0) {
-      if (value.empty()) bad_value();
-      args.json_path = value;
     } else {
-      BenchUsage(prog, outputs, "unknown flag '" + std::string(arg) + "'");
+      BenchUsage(prog, "unknown flag '" + std::string(arg) + "'");
     }
   }
   return args;

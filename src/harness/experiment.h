@@ -86,27 +86,17 @@ ExperimentPoint RunPoint(const Bundle& bundle,
 ///   --ets=N       ETs per sweep point (default per bench), N > 0
 ///   --scale=X     dataset scale factor, X > 0
 ///   --seed=N      master seed
-/// and, only in the benches that write them (see BenchOutput):
-///   --json=P      also write the run as machine-readable JSON to path P
 struct BenchArgs {
   int ets_per_point;
   double scale;
   uint64_t seed = 7;
-  std::string json_path;  // empty: no JSON output
 };
 
-/// Output flags a bench accepts beyond --ets/--scale/--seed (bitmask).
-enum BenchOutput : unsigned {
-  kNoBenchOutput = 0,
-  kJsonOutput = 1u << 0,  // --json=P
-};
-
-/// Parses the bench command line. An unknown flag, a flag outside
-/// `outputs`, or a malformed or out-of-range value prints the reason and a
-/// usage line to stderr and exits with status 2.
+/// Parses the bench command line. An unknown flag or a malformed or
+/// out-of-range value prints the reason and a usage line to stderr and
+/// exits with status 2.
 BenchArgs ParseBenchArgs(int argc, char** argv, int default_ets,
-                         double default_scale,
-                         unsigned outputs = kNoBenchOutput);
+                         double default_scale);
 
 /// Prints a parameter sweep in the paper's two-panel style: one table for
 /// the number of verifications (and candidates/valid counts) and one for
@@ -114,15 +104,6 @@ BenchArgs ParseBenchArgs(int argc, char** argv, int default_ets,
 void PrintSweep(const std::string& title, const std::string& param_name,
                 const std::vector<std::string>& param_values,
                 const std::vector<ExperimentPoint>& points);
-
-/// Writes the same sweep as machine-readable JSON (one object with a
-/// `points` array; each point carries per-algorithm verification counts,
-/// times, costs and engine stats). Used by the CI bench leg to archive
-/// results. Crashes (QBE_CHECK) if the file cannot be opened.
-void WriteSweepJson(const std::string& path, const std::string& title,
-                    const std::string& param_name,
-                    const std::vector<std::string>& param_values,
-                    const std::vector<ExperimentPoint>& points);
 
 }  // namespace qbe
 

@@ -2,22 +2,18 @@
 
 #include <utility>
 
+#include "util/check.h"
+
 namespace qbe {
 
 Compactor::Compactor(LiveDatabase* live, Options options)
     : live_(live), options_(std::move(options)) {
+  QBE_CHECK_MSG(options_.ops_threshold > 0,
+                "compaction threshold must be positive");
   thread_ = std::thread([this] { Run(); });
 }
 
 Compactor::~Compactor() { Stop(); }
-
-void Compactor::Poke() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    poked_ = true;
-  }
-  cv_.notify_one();
-}
 
 void Compactor::Stop() {
   {
@@ -32,16 +28,10 @@ void Compactor::Stop() {
 void Compactor::Run() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
-    cv_.wait_for(lock, options_.poll_interval,
-                 [this] { return stop_ || poked_; });
+    cv_.wait_for(lock, options_.poll_interval, [this] { return stop_; });
     if (stop_) break;
-    const bool poked = poked_;
-    poked_ = false;
     lock.unlock();
-    if (poked || (options_.ops_threshold > 0 &&
-                  live_->delta_ops() >= options_.ops_threshold)) {
-      MaybeCompact();
-    }
+    if (live_->delta_ops() >= options_.ops_threshold) MaybeCompact();
     lock.lock();
   }
 }

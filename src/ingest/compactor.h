@@ -20,8 +20,7 @@ namespace qbe {
 class Compactor {
  public:
   struct Options {
-    /// Compact when the op log reaches this many records (0 disables the
-    /// threshold; compaction then only happens via Poke/CompactNow).
+    /// Compact when the op log reaches this many records; must be > 0.
     size_t ops_threshold = 0;
     std::chrono::milliseconds poll_interval{200};
     /// Snapshot refresh target ("" = in-memory compaction only; required
@@ -37,9 +36,6 @@ class Compactor {
   Compactor(const Compactor&) = delete;
   Compactor& operator=(const Compactor&) = delete;
 
-  /// Wakes the thread to re-check the threshold immediately.
-  void Poke();
-
   /// Stops and joins the background thread. Idempotent.
   void Stop();
 
@@ -52,7 +48,6 @@ class Compactor {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
-  bool poked_ = false;
   std::thread thread_;
 };
 

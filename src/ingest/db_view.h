@@ -74,10 +74,6 @@ class DbView {
     return delta_ == nullptr || delta_->IsLive(rel, row);
   }
 
-  bool RelHasTombstones(int rel) const {
-    return delta_ != nullptr && !delta_->rels[rel].tombstones.empty();
-  }
-
   // --- cell access ----------------------------------------------------------
 
   std::string_view TextAt(int rel, int col, uint32_t row) const;

@@ -86,7 +86,6 @@ struct NetServer::Connection {
 NetServer::NetServer(DiscoveryService* service, NetServerOptions options)
     : service_(service), options_(options) {
   sampler_.rate = options_.trace_sample;
-  sampler_.seed = options_.trace_seed;
 
   ListenSocket listener = OpenLoopbackListener(options_.port, /*backlog=*/128);
   if (!listener.ok()) {
@@ -164,10 +163,10 @@ void NetServer::Loop() {
     const bool stopping = stopping_.load(std::memory_order_acquire);
     if (stopping && accepting) {
       // Drain begins: no new connections; in-flight work gets
-      // drain_timeout_ms to finish and flush.
+      // kDrainTimeoutMs to finish and flush.
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
       accepting = false;
-      drain_deadline_ms = NowMillis() + options_.drain_timeout_ms;
+      drain_deadline_ms = NowMillis() + kDrainTimeoutMs;
     }
     if (stopping) {
       bool all_flushed = true;
@@ -553,7 +552,7 @@ void NetServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
     Trace stitched = conn->trace->Stitch();
     std::lock_guard<std::mutex> lock(traces_mu_);
     recent_traces_.push_back(std::move(stitched));
-    while (recent_traces_.size() > options_.trace_keep) {
+    while (recent_traces_.size() > kTraceKeep) {
       recent_traces_.pop_front();
     }
   }

@@ -29,21 +29,14 @@ struct NetServerOptions {
   /// Keep-alive connections idle longer than this get a typed
   /// kIdleTimeout error frame and are closed; 0 disables the sweep.
   int idle_timeout_ms = 60'000;
-  /// Per-frame payload cap enforced by the decoder (see kMaxWirePayload).
-  size_t max_frame_payload = kMaxWirePayload;
-  /// On Stop(), in-flight requests get this long to finish and flush
-  /// before the loop gives up and closes connections anyway.
-  int drain_timeout_ms = 30'000;
 
   /// Fraction of *connections* whose socket IO is traced (net_read /
   /// net_write spans under a per-connection root), using the same
   /// deterministic sampler as request tracing: connection n is traced iff
-  /// splitmix64(seed, n) < rate·2^64. Stitched connection traces are kept
-  /// in a bounded ring (RecentNetTraces) and merged into `qbe_serve
-  /// --trace-out` output.
+  /// splitmix64(42, n) < rate·2^64. The last NetServer::kTraceKeep
+  /// stitched connection traces are kept (RecentNetTraces) and merged into
+  /// `qbe_serve --trace-out` output.
   double trace_sample = 0.0;
-  uint64_t trace_seed = 42;
-  size_t trace_keep = 16;
 };
 
 /// The networked serving layer (DESIGN.md §16): one epoll thread owning
@@ -80,8 +73,14 @@ class NetServer {
   const std::string& error() const { return error_; }
   uint16_t port() const { return port_; }
 
+  /// On Stop(), in-flight requests get this long to finish and flush
+  /// before the loop gives up and closes connections anyway.
+  static constexpr int kDrainTimeoutMs = 30'000;
+  /// Stitched connection traces kept for RecentNetTraces (oldest evicted).
+  static constexpr size_t kTraceKeep = 16;
+
   /// Graceful drain: stop accepting, let in-flight requests finish and
-  /// their responses flush (bounded by drain_timeout_ms), close
+  /// their responses flush (bounded by kDrainTimeoutMs), close
   /// everything, join the loop thread. Idempotent.
   void Stop();
 

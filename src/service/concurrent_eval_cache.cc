@@ -2,17 +2,7 @@
 
 #include <utility>
 
-#include "util/check.h"
-
 namespace qbe {
-
-ConcurrentEvalCache::ConcurrentEvalCache(size_t num_shards) {
-  QBE_CHECK(num_shards > 0);
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
 
 ConcurrentEvalCache::Shard& ConcurrentEvalCache::ShardFor(
     const EvalCacheKey& key) {
@@ -20,8 +10,8 @@ ConcurrentEvalCache::Shard& ConcurrentEvalCache::ShardFor(
   // shift range reduction) and its low word the slot within the shard's
   // tables, so the two choices use disjoint bits.
   const size_t shard = static_cast<size_t>(
-      (static_cast<unsigned __int128>(key.hi) * shards_.size()) >> 64);
-  return *shards_[shard];
+      (static_cast<unsigned __int128>(key.hi) * kNumShards) >> 64);
+  return shards_[shard];
 }
 
 std::optional<bool> ConcurrentEvalCache::Shard::Promote(
@@ -49,13 +39,13 @@ void ConcurrentEvalCache::Insert(const EvalCacheKey& key, bool outcome) {
 }
 
 void ConcurrentEvalCache::StartGeneration() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
+  for (Shard& shard : shards_) {
     OutcomeTable dropped;
     {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      dropped = std::move(shard->previous);
-      shard->previous = std::move(shard->current);
-      shard->current = OutcomeTable{};
+      std::lock_guard<std::mutex> lock(shard.mu);
+      dropped = std::move(shard.previous);
+      shard.previous = std::move(shard.current);
+      shard.current = OutcomeTable{};
     }
     // `dropped` frees its slots here, outside the shard lock.
   }
@@ -63,18 +53,18 @@ void ConcurrentEvalCache::StartGeneration() {
 
 size_t ConcurrentEvalCache::size() const {
   size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->current.size() + shard->previous.size();
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total += shard.current.size() + shard.previous.size();
   }
   return total;
 }
 
 size_t ConcurrentEvalCache::bytes() const {
   size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->current.bytes() + shard->previous.bytes();
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total += shard.current.bytes() + shard.previous.bytes();
   }
   return total;
 }

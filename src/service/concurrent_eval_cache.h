@@ -1,12 +1,12 @@
 #ifndef QBE_SERVICE_CONCURRENT_EVAL_CACHE_H_
 #define QBE_SERVICE_CONCURRENT_EVAL_CACHE_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "core/eval_cache.h"
 
@@ -35,7 +35,8 @@ namespace qbe {
 /// requests, no ordering guarantees against concurrent Insert.
 class ConcurrentEvalCache : public EvalCacheBase {
  public:
-  explicit ConcurrentEvalCache(size_t num_shards = 16);
+  /// Lock shards: enough that a handful of workers rarely meet on one.
+  static constexpr size_t kNumShards = 16;
 
   std::optional<bool> Find(const EvalCacheKey& key) override;
   /// First insert wins, in either generation: inserting a key held by
@@ -66,11 +67,10 @@ class ConcurrentEvalCache : public EvalCacheBase {
   /// Fraction of lookups served from the cache; 0 before any lookup.
   double HitRate() const;
 
-  size_t num_shards() const { return shards_.size(); }
-
  private:
-  struct Shard {
-    std::mutex mu;
+  /// Cache-line aligned so neighbouring shards' locks never share a line.
+  struct alignas(64) Shard {
+    mutable std::mutex mu;
     OutcomeTable current;   // guarded by mu
     OutcomeTable previous;  // guarded by mu
 
@@ -81,7 +81,7 @@ class ConcurrentEvalCache : public EvalCacheBase {
 
   Shard& ShardFor(const EvalCacheKey& key);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kNumShards> shards_;
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> lookups_{0};
 };

@@ -38,11 +38,11 @@ std::vector<double> WorkBuckets() { return ExponentialBuckets(1.0, 4.0, 11); }
 /// Queue-depth buckets: 1 .. 1024 requests waiting.
 std::vector<double> DepthBuckets() { return ExponentialBuckets(1.0, 2.0, 11); }
 
-/// Latency-histogram bounds: options.latency_buckets or, by default,
+/// Bounds of every latency-shaped histogram (queue_seconds,
+/// latency_seconds, append_seconds, compaction_seconds, phase_seconds_*):
 /// 100 µs .. ~100 s.
-std::vector<double> LatencyBounds(const ServiceOptions& options) {
-  return options.latency_buckets.empty() ? ExponentialBuckets(1e-4, 2.0, 21)
-                                         : options.latency_buckets;
+std::vector<double> LatencyBounds() {
+  return ExponentialBuckets(1e-4, 2.0, 21);
 }
 
 /// Observes the wall time of the enclosing scope in a histogram.
@@ -225,7 +225,7 @@ DiscoveryService::DiscoveryService(std::vector<Database> shards,
                                    ServiceOptions options)
     : options_(std::move(options)),
       instruments_(std::make_unique<Instruments>(
-          metrics_, LatencyBounds(options_), static_cast<int>(shards.size()))),
+          metrics_, LatencyBounds(), static_cast<int>(shards.size()))),
       // Registered up front: 0 on a never-mutated service is an answer.
       eval_cache_generations_(metrics_.GetCounter("eval_cache_generations")),
       pool_(std::make_unique<ThreadPool>(options_.num_workers,
@@ -235,7 +235,6 @@ DiscoveryService::DiscoveryService(std::vector<Database> shards,
   }
   const int n = num_shards();
   sampler_.rate = options_.trace_sample;
-  sampler_.seed = options_.trace_seed;
   if (!options_.wal_path.empty()) {
     // Sharded mode logs each shard's ops into its own WAL (append routing
     // is deterministic, so replaying each shard's log reproduces the same

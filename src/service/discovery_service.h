@@ -85,12 +85,9 @@ struct ServiceOptions {
   /// Fraction of requests traced, in [0, 1]. 0 = tracing off (the default;
   /// plain runs are bit-identical to an uninstrumented build). Sampling is
   /// deterministic: request n — the service-wide submission sequence
-  /// number — is traced iff splitmix64(trace_seed, n) < rate·2^64, so a
-  /// replayed workload samples the same requests.
+  /// number — is traced iff splitmix64(42, n) < rate·2^64 (TraceSampler's
+  /// fixed seed), so a replayed workload samples the same requests.
   double trace_sample = 0.0;
-
-  /// Seed of the sampling decision (and of nothing else).
-  uint64_t trace_seed = 42;
 
   /// Stitched traces of the most recent sampled requests kept in memory
   /// for RecentTraces()/ChromeTraces() (ring buffer; oldest evicted).
@@ -106,13 +103,6 @@ struct ServiceOptions {
   /// newline). Default (unset): write to stderr. May be called from any
   /// worker thread; the sink must be thread-safe.
   std::function<void(const std::string&)> slow_query_sink;
-
-  /// Upper bounds (seconds, ascending) of every latency-shaped histogram
-  /// (queue_seconds, latency_seconds, append_seconds, compaction_seconds,
-  /// phase_seconds_*).
-  /// Empty = the default 100 µs .. ~100 s exponential ladder. Injectable so
-  /// sub-millisecond deployments get resolution instead of one fat bucket.
-  std::vector<double> latency_buckets;
 
   // --- sharded mode (DESIGN.md §15) ----------------------------------------
 

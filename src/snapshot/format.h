@@ -20,7 +20,9 @@ namespace snapshot {
 // mismatched reader rejects the file instead.
 
 inline constexpr uint64_t kMagic = 0x3150414E53454251ULL;  // "QBESNAP1"
-inline constexpr uint32_t kVersion = 1;
+// Version 2 dropped the per-foreign-key distinct-value count from the
+// catalog section; a version 1 file is refused as version skew.
+inline constexpr uint32_t kVersion = 2;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr uint32_t kPageSize = 4096;
 

@@ -288,9 +288,8 @@ std::optional<Database> SnapshotReader::Open(const std::string& path,
   }
   for (uint32_t i = 0; i < num_fks; ++i) {
     uint32_t from_rel = 0, from_col = 0, to_rel = 0, to_col = 0;
-    uint32_t distinct = 0;
     if (!cur.U32(&from_rel) || !cur.U32(&from_col) || !cur.U32(&to_rel) ||
-        !cur.U32(&to_col) || !cur.U32(&distinct)) {
+        !cur.U32(&to_col)) {
       return fail("catalog: malformed foreign key entry");
     }
     auto valid_key_col = [&](uint32_t rel, uint32_t col) {
@@ -301,10 +300,6 @@ std::optional<Database> SnapshotReader::Open(const std::string& path,
     if (!valid_key_col(from_rel, from_col) || !valid_key_col(to_rel, to_col)) {
       return fail("catalog: foreign key references a non-id column");
     }
-    if (distinct > db.relation(from_rel).num_rows()) {
-      return fail("catalog: foreign key distinct count exceeds row count");
-    }
-    db.fk_distinct_.push_back(distinct);
     db.fks_.push_back(ForeignKey{
         static_cast<int>(i), static_cast<int>(from_rel),
         static_cast<int>(from_col), static_cast<int>(to_rel),

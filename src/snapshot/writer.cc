@@ -100,9 +100,6 @@ bool SnapshotWriter::Write(const Database& db, const std::string& path,
     catalog.U32(static_cast<uint32_t>(fk.from_col));
     catalog.U32(static_cast<uint32_t>(fk.to_rel));
     catalog.U32(static_cast<uint32_t>(fk.to_col));
-    // Distinct FK values feed the fanout stats; storing the count lets a
-    // mapped database skip building the value-keyed hash maps entirely.
-    catalog.U32(db.fk_distinct_[fk.id]);
   }
   catalog.U32(static_cast<uint32_t>(db.dict_->size()));
   char_bufs.push_back(std::move(catalog.out));

@@ -82,11 +82,6 @@ void Database::BuildIndexes() {
   // PK/FK hash indexes on the declared key columns.
   QBE_CHECK_MSG(BuildKeyMaps(/*reject_duplicate_pk=*/true),
                 "duplicate primary key value");
-  fk_distinct_.resize(fks_.size());
-  for (const ForeignKey& fk : fks_) {
-    fk_distinct_[fk.id] =
-        static_cast<uint32_t>(fk_indexes_[fk.id].rows_by_key.size());
-  }
 
   // Row-level join indexes and per-edge join statistics.
   edge_join_.resize(fks_.size());

@@ -143,12 +143,6 @@ class Database {
   /// Rows of `from_rel` whose FK value has a matching PK row.
   std::span<const uint32_t> ValidFromRows(int edge) const;
 
-  /// Number of distinct FK values in `edge`'s referencing column — the
-  /// denominator of the classic fanout estimate rows(from)/distinct(fk).
-  /// Precomputed (and stored in snapshots) so the cardinality-stats path
-  /// never forces the value-keyed hash maps to exist.
-  size_t FkDistinctValues(int edge) const { return fk_distinct_[edge]; }
-
   /// Row of `to_rel` that `from_row` references via `edge`, or -1 if the FK
   /// value is dangling. Row-level join index: O(1) array read, no key
   /// extraction or hashing — the semijoin hot path.
@@ -235,7 +229,6 @@ class Database {
   mutable std::shared_ptr<const SchemaGraph> graph_;
   mutable std::unique_ptr<std::once_flag> graph_once_ =
       std::make_unique<std::once_flag>();
-  std::vector<uint32_t> fk_distinct_;                   // by edge id
   std::vector<EdgeJoinIndex> edge_join_;                // by edge id
   std::vector<SpanOrVec<uint32_t>> referenced_rows_;    // by edge id
   std::vector<char> edge_no_dangling_;                  // by edge id

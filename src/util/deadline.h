@@ -7,12 +7,12 @@
 
 namespace qbe {
 
-/// Cooperative cancellation handle shared between a request owner and the
-/// discovery kernel. The owner arms a wall-clock deadline (SetTimeout) or
-/// cancels outright (Cancel, e.g. on service shutdown); the kernel polls
-/// Expired() between CQ-row verifications (EvalEngine::Execute) and at
-/// phase boundaries, so a runaway request stops within one existence-query
-/// evaluation. Thread-safe; expiry and cancellation are sticky.
+/// Cooperative deadline shared between a request owner and the discovery
+/// kernel. The owner arms a wall-clock deadline (SetTimeout) on the
+/// admitting thread; the kernel polls Expired() on the worker between
+/// CQ-row verifications (EvalEngine::Execute) and at phase boundaries, so
+/// a runaway request stops within one existence-query evaluation.
+/// Thread-safe; expiry is sticky.
 class DeadlineToken {
  public:
   DeadlineToken() = default;
@@ -23,10 +23,7 @@ class DeadlineToken {
     deadline_ns_.store(NowNs() + timeout.count(), std::memory_order_relaxed);
   }
 
-  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-
   bool Expired() const {
-    if (cancelled_.load(std::memory_order_relaxed)) return true;
     int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
     return deadline != kNoDeadline && NowNs() >= deadline;
   }
@@ -40,7 +37,6 @@ class DeadlineToken {
         .count();
   }
 
-  std::atomic<bool> cancelled_{false};
   std::atomic<int64_t> deadline_ns_{kNoDeadline};
 };
 

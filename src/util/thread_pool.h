@@ -16,9 +16,8 @@ namespace qbe {
 /// Fixed-size worker pool with a bounded FIFO work queue — the execution
 /// substrate of DiscoveryService. The bounded queue is the admission
 /// surface: TrySubmit rejects immediately when the queue is full (fast-fail
-/// admission control), Submit blocks for back-pressure, and Shutdown stops
-/// accepting work, runs everything already queued (graceful drain), then
-/// joins the workers.
+/// admission control), and Shutdown stops accepting work, runs everything
+/// already queued (graceful drain), then joins the workers.
 class ThreadPool {
  public:
   ThreadPool(int num_threads, size_t max_queue_depth)
@@ -48,21 +47,6 @@ class ThreadPool {
     return true;
   }
 
-  /// Enqueues `task`, blocking while the queue is full. Returns false only
-  /// if the pool shut down before the task could be enqueued.
-  bool Submit(std::function<void()> task) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock, [this] {
-        return stopping_ || queue_.size() < max_queue_depth_;
-      });
-      if (stopping_) return false;
-      queue_.push_back(std::move(task));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Stops accepting tasks, drains every task already queued, and joins the
   /// workers. Idempotent; called by the destructor.
   void Shutdown() {
@@ -71,7 +55,6 @@ class ThreadPool {
       stopping_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
     for (std::thread& worker : workers_) {
       if (worker.joinable()) worker.join();
     }
@@ -83,7 +66,6 @@ class ThreadPool {
   }
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-  size_t max_queue_depth() const { return max_queue_depth_; }
 
  private:
   void WorkerLoop() {
@@ -97,7 +79,6 @@ class ThreadPool {
         task = std::move(queue_.front());
         queue_.pop_front();
       }
-      not_full_.notify_one();
       task();
     }
   }
@@ -105,7 +86,6 @@ class ThreadPool {
   const size_t max_queue_depth_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/candidate_gen.h"
 #include "core/filter_verifier.h"
 #include "core/simple_prune.h"
@@ -50,20 +52,23 @@ TEST_F(CustIntegrationTest, AllAlgorithmsAgreeOnCustWorkload) {
         GenerateCandidates(*db_, *graph_, et, {});
     if (candidates.empty()) continue;
     ShardExecSet probes(DbView(*db_), *graph_);
-    VerifyContext ctx{*db_, *graph_, probes, et, candidates, 11};
-    VerifyAll verify_all(RowOrder::kRandom);
+    VerifyContext ctx{*db_, *graph_, probes, et, candidates};
+    VerifyAll verify_all(RowOrder::kRandom, 11);
     VerificationCounters c0;
     std::vector<bool> reference = verify_all.Verify(ctx, &c0);
 
     SimplePrune simple_prune;
     FilterVerifier filter_lazy;  // default: lazy greedy
-    FilterVerifier filter_exact(0.1, false);
+    FilterVerifier filter_exact({.lazy_greedy = false});
     JoinTreeWeave weave;
-    CandidateVerifier* algos[] = {&simple_prune, &filter_lazy, &filter_exact,
-                                  &weave};
-    for (CandidateVerifier* algo : algos) {
+    std::pair<const char*, CandidateVerifier*> algos[] = {
+        {"SimplePrune", &simple_prune},
+        {"Filter", &filter_lazy},
+        {"Filter(exact)", &filter_exact},
+        {"Weave", &weave}};
+    for (auto [name, algo] : algos) {
       VerificationCounters counters;
-      EXPECT_EQ(algo->Verify(ctx, &counters), reference) << algo->name();
+      EXPECT_EQ(algo->Verify(ctx, &counters), reference) << name;
       EXPECT_GT(counters.verifications, 0);
     }
   }

@@ -63,10 +63,9 @@ std::vector<ExampleTable> RandomEts(Workbench& wb, uint64_t seed) {
 /// Runs `algo` and returns (valid set, counters).
 std::pair<std::vector<bool>, VerificationCounters> RunEngine(
     const Workbench& wb, const ExampleTable& et,
-    const std::vector<CandidateQuery>& cands, CandidateVerifier& algo,
-    uint64_t seed) {
+    const std::vector<CandidateQuery>& cands, CandidateVerifier& algo) {
   ShardExecSet probes(DbView(wb.db), wb.graph);
-  VerifyContext ctx{wb.db, wb.graph, probes, et, cands, seed};
+  VerifyContext ctx{wb.db, wb.graph, probes, et, cands};
   VerificationCounters counters;
   std::vector<bool> valid = algo.Verify(ctx, &counters);
   return {std::move(valid), counters};
@@ -87,17 +86,19 @@ TEST_P(DifferentialTest, AlgorithmsAgreeOnRandomInstances) {
     if (cands.empty()) continue;
 
     VerifyAll verify_all(RowOrder::kDenseFirst);
-    auto [reference, ref_verifs] =
-        RunEngine(wb, et, cands, verify_all, seed);
+    auto [reference, ref_verifs] = RunEngine(wb, et, cands, verify_all);
 
     SimplePrune simple_prune(RowOrder::kDenseFirst);
-    FilterVerifier filter_lazy(0.1, true);
-    FilterVerifier filter_exact(0.1, false);
-    CandidateVerifier* algos[] = {&simple_prune, &filter_lazy, &filter_exact};
-    for (CandidateVerifier* algo : algos) {
-      auto [valid, algo_counters] = RunEngine(wb, et, cands, *algo, seed);
+    FilterVerifier filter_lazy;
+    FilterVerifier filter_exact({.lazy_greedy = false});
+    std::pair<const char*, CandidateVerifier*> algos[] = {
+        {"SimplePrune", &simple_prune},
+        {"Filter", &filter_lazy},
+        {"Filter(exact)", &filter_exact}};
+    for (auto [name, algo] : algos) {
+      auto [valid, algo_counters] = RunEngine(wb, et, cands, *algo);
       EXPECT_EQ(valid, reference)
-          << algo->name() << " disagrees with VerifyAll (seed " << seed
+          << name << " disagrees with VerifyAll (seed " << seed
           << ", instance " << instances << ")";
     }
   }
@@ -144,15 +145,15 @@ GoldenMaps CollectVerifyCounts() {
       if (cands.empty()) continue;
       VerifyAll verify_all(RowOrder::kDenseFirst);
       SimplePrune simple_prune(RowOrder::kDenseFirst);
-      FilterVerifier filter_lazy(0.1, true);
-      FilterVerifier filter_exact(0.1, false);
+      FilterVerifier filter_lazy;
+      FilterVerifier filter_exact({.lazy_greedy = false});
       JoinTreeWeave weave;
       std::pair<const char*, CandidateVerifier*> algos[] = {
           {"verifyall", &verify_all},   {"simpleprune", &simple_prune},
           {"filter", &filter_lazy},     {"filterexact", &filter_exact},
           {"weave", &weave}};
       for (auto [name, algo] : algos) {
-        auto [valid, counters] = RunEngine(wb, et, cands, *algo, seed);
+        auto [valid, counters] = RunEngine(wb, et, cands, *algo);
         (void)valid;
         const std::string key = InstanceKey(seed, e - 1, name);
         maps.verifications[key] = counters.verifications;

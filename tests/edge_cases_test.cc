@@ -103,7 +103,7 @@ TEST(CounterEdgeTest, EstimatedCostIsSumOfTreeSizes) {
   ExampleTable et = MakeFigure2ExampleTable();
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db, graph, et, {});
-  VerifyContext ctx{db, graph, probes, et, candidates, 1};
+  VerifyContext ctx{db, graph, probes, et, candidates};
   VerifyAll verify_all(RowOrder::kGiven);
   VerificationCounters counters;
   verify_all.Verify(ctx, &counters);
@@ -123,7 +123,7 @@ TEST(FilterVerifierEdgeTest, AllCandidatesInvalid) {
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db, graph, et, {});
   if (candidates.empty()) GTEST_SKIP();
-  VerifyContext ctx{db, graph, probes, et, candidates, 1};
+  VerifyContext ctx{db, graph, probes, et, candidates};
   FilterVerifier filter;
   VerificationCounters counters;
   std::vector<bool> valid = filter.Verify(ctx, &counters);
@@ -141,7 +141,7 @@ TEST(FilterVerifierEdgeTest, DeterministicAcrossRuns) {
   gen.max_join_tree_size = 5;
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db, graph, et, gen);
-  VerifyContext ctx{db, graph, probes, et, candidates, 1};
+  VerifyContext ctx{db, graph, probes, et, candidates};
   FilterVerifier filter;
   VerificationCounters c1, c2;
   std::vector<bool> v1 = filter.Verify(ctx, &c1);

@@ -36,7 +36,7 @@ EvalCacheKey Key(const std::string& name) {
 }
 
 TEST(EvalCacheGenerationsTest, HitInPreviousMovesIntoCurrent) {
-  ConcurrentEvalCache cache(4);
+  ConcurrentEvalCache cache;
   cache.Insert(Key("k"), true);
   cache.StartGeneration();  // k is now in previous
   ASSERT_TRUE(cache.Lookup(Key("k")).has_value());
@@ -48,7 +48,7 @@ TEST(EvalCacheGenerationsTest, HitInPreviousMovesIntoCurrent) {
 }
 
 TEST(EvalCacheGenerationsTest, TwoRotationsDropAnUntouchedEntry) {
-  ConcurrentEvalCache cache(4);
+  ConcurrentEvalCache cache;
   cache.Insert(Key("touched"), true);
   cache.Insert(Key("untouched"), false);
   cache.StartGeneration();
@@ -63,7 +63,7 @@ TEST(EvalCacheGenerationsTest, TwoRotationsDropAnUntouchedEntry) {
 }
 
 TEST(EvalCacheGenerationsTest, InsertOfAKeyInPreviousKeepsTheFirstOutcome) {
-  ConcurrentEvalCache cache(2);
+  ConcurrentEvalCache cache;
   cache.Insert(Key("k"), true);
   cache.StartGeneration();
   cache.Insert(Key("k"), false);
@@ -74,7 +74,7 @@ TEST(EvalCacheGenerationsTest, InsertOfAKeyInPreviousKeepsTheFirstOutcome) {
 }
 
 TEST(EvalCacheGenerationsTest, HitsAndLookupsStayCumulative) {
-  ConcurrentEvalCache cache(4);
+  ConcurrentEvalCache cache;
   cache.Insert(Key("a"), true);
   EXPECT_TRUE(cache.Lookup(Key("a")).has_value());
   cache.StartGeneration();
@@ -88,7 +88,7 @@ TEST(EvalCacheGenerationsTest, HitsAndLookupsStayCumulative) {
 }
 
 TEST(EvalCacheGenerationsTest, SizeAndBytesShrinkAfterRotations) {
-  ConcurrentEvalCache cache(4);
+  ConcurrentEvalCache cache;
   EXPECT_EQ(cache.bytes(), 0u);
   for (int i = 0; i < 100; ++i) {
     cache.Insert(Key("short-" + std::to_string(i)), true);
@@ -125,7 +125,7 @@ TEST(EvalCacheGenerationsTest, RotationRacesLookupsAndInserts) {
   constexpr int kThreads = 8;
   constexpr int kKeys = 300;
   constexpr int kRounds = 4;
-  ConcurrentEvalCache cache(4);
+  ConcurrentEvalCache cache;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, t] {

@@ -300,7 +300,7 @@ TEST(ConcurrentEvalCacheFlatTest, HundredThousandKeysSurviveRotations) {
   Rng rng(7);
   std::vector<EvalCacheKey> keys;
   for (int i = 0; i < kKeys; ++i) keys.push_back({rng.Next(), rng.Next()});
-  ConcurrentEvalCache cache(16);
+  ConcurrentEvalCache cache;
   for (const EvalCacheKey& key : keys) cache.Insert(key, (key.lo & 1) != 0);
   EXPECT_EQ(cache.size(), static_cast<size_t>(kKeys));
   const size_t bytes = cache.bytes();

@@ -26,7 +26,7 @@ class FilterVerifierTest : public ::testing::Test {
   }
 
   VerifyContext Ctx() {
-    return VerifyContext{db_, graph_, probes_, et_, candidates_, 42};
+    return VerifyContext{db_, graph_, probes_, et_, candidates_};
   }
 
   Database db_;
@@ -46,7 +46,7 @@ TEST_F(FilterVerifierTest, AgreesWithVerifyAll) {
 
 TEST_F(FilterVerifierTest, LazyGreedyAgreesToo) {
   VerifyAll reference;
-  FilterVerifier lazy(0.5, true);
+  FilterVerifier lazy({.failure_prior = 0.5});
   VerificationCounters c1, c2;
   VerifyContext ctx = Ctx();
   EXPECT_EQ(reference.Verify(ctx, &c1), lazy.Verify(ctx, &c2));
@@ -58,7 +58,7 @@ TEST_F(FilterVerifierTest, RobustToFailurePrior) {
   VerificationCounters c0;
   std::vector<bool> expected = reference.Verify(ctx, &c0);
   for (double prior : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-    FilterVerifier filter(prior, false);
+    FilterVerifier filter({.failure_prior = prior, .lazy_greedy = false});
     VerificationCounters c;
     EXPECT_EQ(filter.Verify(ctx, &c), expected) << "prior " << prior;
   }
@@ -66,7 +66,7 @@ TEST_F(FilterVerifierTest, RobustToFailurePrior) {
 
 TEST_F(FilterVerifierTest, HandlesEmptyCandidateSet) {
   std::vector<CandidateQuery> none;
-  VerifyContext ctx{db_, graph_, probes_, et_, none, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, none};
   FilterVerifier filter;
   VerificationCounters counters;
   EXPECT_TRUE(filter.Verify(ctx, &counters).empty());
@@ -85,7 +85,7 @@ TEST_F(FilterVerifierTest, SingleValidCandidateEvaluatesBasicFilters) {
     }
   }
   ASSERT_EQ(only_cq1.size(), 1u);
-  VerifyContext ctx{db_, graph_, probes_, et_, only_cq1, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, only_cq1};
   FilterVerifier filter;
   VerificationCounters counters;
   std::vector<bool> valid = filter.Verify(ctx, &counters);
@@ -103,7 +103,7 @@ TEST_F(FilterVerifierTest, SharedFilterPruningBeatsPerCandidateWork) {
   std::vector<CandidateQuery> many =
       GenerateCandidates(db_, graph_, et_, options);
   ASSERT_GT(many.size(), 10u);
-  VerifyContext ctx{db_, graph_, probes_, et_, many, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, many};
   VerifyAll reference;
   FilterVerifier filter;
   VerificationCounters c_ref, c_filter;
@@ -121,9 +121,9 @@ TEST_F(FilterVerifierTest, LazyAndExactEvaluateSameNumberOfFilters) {
   options.max_join_tree_size = 5;
   std::vector<CandidateQuery> many =
       GenerateCandidates(db_, graph_, et_, options);
-  VerifyContext ctx{db_, graph_, probes_, et_, many, 42};
-  FilterVerifier exact(0.5, false);
-  FilterVerifier lazy(0.5, true);
+  VerifyContext ctx{db_, graph_, probes_, et_, many};
+  FilterVerifier exact({.failure_prior = 0.5, .lazy_greedy = false});
+  FilterVerifier lazy({.failure_prior = 0.5});
   VerificationCounters c_exact, c_lazy;
   std::vector<bool> v1 = exact.Verify(ctx, &c_exact);
   std::vector<bool> v2 = lazy.Verify(ctx, &c_lazy);
@@ -174,10 +174,10 @@ TEST_F(FilterVerifierDeadlineTest, ExpiredDeadlineStopsPlanningOnHeavyCustEt) {
   EXPECT_EQ(universe.num_filters(), 0);
 
   ShardExecSet probes(DbView(db_), graph_);
-  VerifyContext ctx{db_, graph_, probes, et_, candidates, 42};
+  VerifyContext ctx{db_, graph_, probes, et_, candidates};
   ctx.deadline = &expired_;
   for (bool lazy : {true, false}) {
-    FilterVerifier filter(0.1, lazy);
+    FilterVerifier filter({.lazy_greedy = lazy});
     VerificationCounters counters;
     std::vector<bool> valid = filter.Verify(ctx, &counters);
     EXPECT_TRUE(counters.aborted);

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/candidate_gen.h"
 #include "core/filter_universe.h"
 #include "core/filter_verifier.h"
@@ -64,27 +66,33 @@ TEST_P(AgreementTest, AllAlgorithmsComputeTheSameValidSet) {
         GenerateCandidates(wb.db, wb.graph, et, {});
     if (candidates.empty()) continue;
     ShardExecSet probes(DbView(wb.db), wb.graph);
-    VerifyContext ctx{wb.db, wb.graph, probes, et, candidates, seed};
+    VerifyContext ctx{wb.db, wb.graph, probes, et, candidates};
 
     VerifyAll verify_all(RowOrder::kDenseFirst);
     VerificationCounters c0;
     std::vector<bool> reference = verify_all.Verify(ctx, &c0);
 
-    VerifyAll verify_all_random(RowOrder::kRandom);
+    VerifyAll verify_all_random(RowOrder::kRandom, seed);
     SimplePrune simple_prune;
-    FilterVerifier filter_exact(0.5, false);
-    FilterVerifier filter_lazy(0.5, true);
-    FilterVerifier filter_prior0(0.0, false);
+    FilterVerifier filter_exact({.failure_prior = 0.5,
+                                 .lazy_greedy = false});
+    FilterVerifier filter_lazy({.failure_prior = 0.5});
+    FilterVerifier filter_prior0({.failure_prior = 0.0,
+                                  .lazy_greedy = false});
     JoinTreeWeave weave;
     TupleTreeWeave tuple_weave;
-    CandidateVerifier* algos[] = {&verify_all_random, &simple_prune,
-                                  &filter_exact,      &filter_lazy,
-                                  &filter_prior0,     &weave,
-                                  &tuple_weave};
-    for (CandidateVerifier* algo : algos) {
+    std::pair<const char*, CandidateVerifier*> algos[] = {
+        {"VerifyAll(random)", &verify_all_random},
+        {"SimplePrune", &simple_prune},
+        {"Filter(exact)", &filter_exact},
+        {"Filter(lazy)", &filter_lazy},
+        {"Filter(p=0)", &filter_prior0},
+        {"Weave", &weave},
+        {"Weave(tuple)", &tuple_weave}};
+    for (auto [name, algo] : algos) {
       VerificationCounters counters;
       EXPECT_EQ(algo->Verify(ctx, &counters), reference)
-          << algo->name() << " disagrees (seed " << seed << ")";
+          << name << " disagrees (seed " << seed << ")";
     }
   }
 }
@@ -164,7 +172,7 @@ TEST_P(Corollary1Test, ValidQueriesSatisfyColumnConstraints) {
     std::vector<CandidateQuery> candidates =
         GenerateCandidates(wb.db, wb.graph, et, {});
     ShardExecSet probes(DbView(wb.db), wb.graph);
-    VerifyContext ctx{wb.db, wb.graph, probes, et, candidates, seed};
+    VerifyContext ctx{wb.db, wb.graph, probes, et, candidates};
     VerifyAll verify_all;
     VerificationCounters counters;
     std::vector<bool> valid = verify_all.Verify(ctx, &counters);
@@ -303,24 +311,26 @@ std::vector<std::string> SampleTexts(const Database& db, int limit) {
 
 /// Runs every verifier over the ET and asserts they agree; returns the
 /// number of candidates so callers can assert the scenario was not vacuous.
-size_t ExpectAllVerifiersAgree(Workbench& wb, const ExampleTable& et,
-                               uint64_t seed) {
+size_t ExpectAllVerifiersAgree(Workbench& wb, const ExampleTable& et) {
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(wb.db, wb.graph, et, {});
   if (candidates.empty()) return 0;
   ShardExecSet probes(DbView(wb.db), wb.graph);
-  VerifyContext ctx{wb.db, wb.graph, probes, et, candidates, seed};
+  VerifyContext ctx{wb.db, wb.graph, probes, et, candidates};
 
   VerifyAll verify_all(RowOrder::kDenseFirst);
   VerificationCounters c0;
   std::vector<bool> reference = verify_all.Verify(ctx, &c0);
 
   SimplePrune simple_prune;
-  FilterVerifier filter_lazy(0.1, true);
-  CandidateVerifier* algos[] = {&simple_prune, &filter_lazy, &verify_all};
-  for (CandidateVerifier* algo : algos) {
+  FilterVerifier filter_lazy;
+  std::pair<const char*, CandidateVerifier*> algos[] = {
+      {"SimplePrune", &simple_prune},
+      {"Filter", &filter_lazy},
+      {"VerifyAll", &verify_all}};
+  for (auto [name, algo] : algos) {
     VerificationCounters counters;
-    EXPECT_EQ(algo->Verify(ctx, &counters), reference) << algo->name();
+    EXPECT_EQ(algo->Verify(ctx, &counters), reference) << name;
   }
   return candidates.size();
 }
@@ -342,7 +352,7 @@ TEST_P(EtEdgeCaseTest, PipelineHandlesDegenerateCells) {
     et.AddRow({texts[0], ""});
     et.AddRow({"", texts[1]});
     ASSERT_TRUE(et.IsWellFormed());
-    ExpectAllVerifiersAgree(wb, et, seed);
+    ExpectAllVerifiersAgree(wb, et);
   }
 
   // Punctuation-only cell: non-empty text, zero tokens. The ET is
@@ -354,7 +364,7 @@ TEST_P(EtEdgeCaseTest, PipelineHandlesDegenerateCells) {
     ASSERT_TRUE(et.IsWellFormed());
     EXPECT_FALSE(et.cell(0, 1).IsEmpty());
     EXPECT_TRUE(et.CellTokens(0, 1).empty());
-    ExpectAllVerifiersAgree(wb, et, seed);
+    ExpectAllVerifiersAgree(wb, et);
   }
 
   // Repeated phrase: "w w" only matches cells where the word really occurs
@@ -364,7 +374,7 @@ TEST_P(EtEdgeCaseTest, PipelineHandlesDegenerateCells) {
     ASSERT_FALSE(tokens.empty());
     ExampleTable et = ExampleTable::WithColumns(1);
     et.AddRow({tokens[0] + " " + tokens[0]});
-    ExpectAllVerifiersAgree(wb, et, seed);
+    ExpectAllVerifiersAgree(wb, et);
   }
 
   // Cell equal to a whole tuple's text: concatenating every text column of
@@ -381,7 +391,7 @@ TEST_P(EtEdgeCaseTest, PipelineHandlesDegenerateCells) {
     ASSERT_FALSE(whole.empty());
     ExampleTable et = ExampleTable::WithColumns(1);
     et.AddRow({whole});
-    ExpectAllVerifiersAgree(wb, et, seed);
+    ExpectAllVerifiersAgree(wb, et);
   }
 
   // A single-word ET drawn from a dense column — guaranteed to produce
@@ -392,7 +402,7 @@ TEST_P(EtEdgeCaseTest, PipelineHandlesDegenerateCells) {
     ASSERT_FALSE(tokens.empty());
     ExampleTable et = ExampleTable::WithColumns(1);
     et.AddRow({tokens[0]});
-    EXPECT_GT(ExpectAllVerifiersAgree(wb, et, seed), 0u);
+    EXPECT_GT(ExpectAllVerifiersAgree(wb, et), 0u);
   }
 }
 

@@ -90,7 +90,7 @@ EvalCacheKey Key(const std::string& name) {
 }
 
 TEST(ConcurrentEvalCacheTest, LookupAndInsert) {
-  ConcurrentEvalCache cache(4);
+  ConcurrentEvalCache cache;
   EXPECT_FALSE(cache.Lookup(Key("k1")).has_value());
   cache.Insert(Key("k1"), true);
   cache.Insert(Key("k2"), false);
@@ -106,7 +106,7 @@ TEST(ConcurrentEvalCacheTest, LookupAndInsert) {
 TEST(ConcurrentEvalCacheTest, FirstInsertWinsLikeSingleThreaded) {
   // emplace semantics: a duplicate insert must not overwrite — outcomes
   // are deterministic anyway, but the contract matches EvalCache.
-  ConcurrentEvalCache cache(2);
+  ConcurrentEvalCache cache;
   cache.Insert(Key("k"), true);
   cache.Insert(Key("k"), false);
   EXPECT_TRUE(*cache.Lookup(Key("k")));
@@ -114,7 +114,7 @@ TEST(ConcurrentEvalCacheTest, FirstInsertWinsLikeSingleThreaded) {
 }
 
 TEST(ConcurrentEvalCacheTest, ConcurrentMixedUseKeepsEveryOutcome) {
-  ConcurrentEvalCache cache(8);
+  ConcurrentEvalCache cache;
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&cache, t] {
@@ -370,7 +370,7 @@ TEST(ServiceTest, SessionsShareServiceCache) {
   // cache: the second session's first discovery is served largely from
   // outcomes the first session computed.
   Database db = MakeRetailerDatabase();
-  ConcurrentEvalCache shared(8);
+  ConcurrentEvalCache shared;
   DiscoverySession first(db, DiscoveryOptions{}, &shared);
   first.SetTable(MakeFigure2ExampleTable());
   DiscoveryResult from_first = first.Discover();
@@ -450,21 +450,6 @@ TEST(ServeArgsTest, HelpSetsShowUsage) {
   EXPECT_TRUE(Parse({"--help"}).show_usage);
   EXPECT_TRUE(Parse({"-h"}).show_usage);
   EXPECT_FALSE(ServeUsage().empty());
-}
-
-TEST(ServiceTest, InjectedLatencyBucketsShapeTheHistograms) {
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.latency_buckets = {1e-6, 1e-5, 1e-4, 1e-3, 1.0};
-  DiscoveryService service(MakeRetailerDatabase(), options);
-  ASSERT_EQ(service.Discover(MakeFigure2ExampleTable()).status,
-            RequestStatus::kOk);
-  // The empty-bounds lookup returns the already-registered histogram; its
-  // layout must be the injected one, not the 100µs-start default.
-  Histogram& latency = service.metrics().GetHistogram("latency_seconds", {});
-  ASSERT_EQ(latency.bounds().size(), 5u);
-  EXPECT_DOUBLE_EQ(latency.bounds()[0], 1e-6);
-  EXPECT_EQ(latency.TotalCount(), 1);
 }
 
 }  // namespace

@@ -110,8 +110,6 @@ TEST_F(SnapshotTest, RoundTripPreservesSchemaAndCells) {
               to_vec(original.ValidFromRows(fk.id)));
     EXPECT_EQ(loaded->EdgeHasNoDangling(fk.id),
               original.EdgeHasNoDangling(fk.id));
-    EXPECT_EQ(loaded->FkDistinctValues(fk.id),
-              original.FkDistinctValues(fk.id));
   }
 }
 

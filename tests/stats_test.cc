@@ -26,7 +26,7 @@ TEST_F(ExecuteAllTest, AgreesAndChargesOutputSize) {
   ExampleTable et = MakeFigure2ExampleTable();
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db_, graph_, et, {});
-  VerifyContext ctx{db_, graph_, probes_, et, candidates, 1};
+  VerifyContext ctx{db_, graph_, probes_, et, candidates};
   VerifyAll reference;
   VerificationCounters c0;
   std::vector<bool> expected = reference.Verify(ctx, &c0);
@@ -46,7 +46,7 @@ TEST_F(ExecuteAllTest, FallbackUnderTinyCap) {
   ExampleTable et = MakeFigure2ExampleTable();
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db_, graph_, et, {});
-  VerifyContext ctx{db_, graph_, probes_, et, candidates, 1};
+  VerifyContext ctx{db_, graph_, probes_, et, candidates};
   VerifyAll reference;
   VerificationCounters c0;
   std::vector<bool> expected = reference.Verify(ctx, &c0);
@@ -61,7 +61,7 @@ TEST_F(ExecuteAllTest, WithExactCells) {
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(db_, graph_, et, {});
   if (candidates.empty()) GTEST_SKIP();
-  VerifyContext ctx{db_, graph_, probes_, et, candidates, 1};
+  VerifyContext ctx{db_, graph_, probes_, et, candidates};
   ExecuteAll execute_all;
   VerificationCounters c;
   for (bool v : execute_all.Verify(ctx, &c)) EXPECT_FALSE(v);

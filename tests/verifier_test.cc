@@ -22,7 +22,7 @@ class VerifierTest : public ::testing::Test {
   }
 
   VerifyContext Ctx() {
-    return VerifyContext{db_, graph_, probes_, et_, candidates_, 42};
+    return VerifyContext{db_, graph_, probes_, et_, candidates_};
   }
 
   int ValidCount(const std::vector<bool>& valid) {
@@ -124,7 +124,7 @@ TEST_F(VerifierTest, SimplePrunePrunesViaFailureDependency) {
   pair.push_back(big);    // order in the vector must not matter:
   pair.push_back(small);  // SimplePrune sorts by tree size itself.
 
-  VerifyContext ctx{db_, graph_, probes_, et_, pair, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, pair};
   VerificationCounters prune_counters, all_counters;
   SimplePrune simple_prune;
   VerifyAll verify_all;

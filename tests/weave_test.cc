@@ -21,7 +21,7 @@ class WeaveTest : public ::testing::Test {
   }
 
   VerifyContext Ctx() {
-    return VerifyContext{db_, graph_, probes_, et_, candidates_, 42};
+    return VerifyContext{db_, graph_, probes_, et_, candidates_};
   }
 
   Database db_;
@@ -81,7 +81,7 @@ TEST_F(WeaveTest, TupleTreeWeaveMemoryGrowsWithData) {
   std::vector<CandidateQuery> candidates =
       GenerateCandidates(big, graph, et, {});
   if (candidates.empty()) GTEST_SKIP() << "no candidates for this seed";
-  VerifyContext ctx{big, graph, probes, et, candidates, 42};
+  VerifyContext ctx{big, graph, probes, et, candidates};
   TupleTreeWeave weave;
   VerificationCounters counters;
   weave.Verify(ctx, &counters);
@@ -93,7 +93,7 @@ TEST_F(WeaveTest, TupleTreeWeaveMemoryGrowsWithData) {
 
 TEST_F(WeaveTest, EmptyCandidates) {
   std::vector<CandidateQuery> none;
-  VerifyContext ctx{db_, graph_, probes_, et_, none, 42};
+  VerifyContext ctx{db_, graph_, probes_, et_, none};
   JoinTreeWeave weave;
   VerificationCounters counters;
   EXPECT_TRUE(weave.Verify(ctx, &counters).empty());

@@ -1,16 +1,20 @@
 // qbe_cli — command-line query discovery over a saved database directory.
 //
 //   qbe_cli --db DIR --row "Mike|ThinkPad|Office" --row "Mary|iPad|"
-//           [--algorithm verifyall|simpleprune|filter|weave]
+//           [--algorithm verifyall|simpleprune|filter|filterexact|weave]
 //           [--max-join-length N] [--min-row-support K]
 //           [--explain] [--top N]
 //   qbe_cli --snapshot FILE.qbes --row ...   mmap a qbe_snapshot build
 //   qbe_cli --demo DIR      write the Figure 1 retailer database to DIR
 //
+// Each --row is one example row of `|`-separated cells. The widest row sets
+// the column count (at most 32); shorter rows are padded with empty cells.
+//
 // The database directory is the SaveDatabase/LoadDatabase format: one CSV
 // per relation plus a schema.manifest declaring column types and foreign
 // keys (hand-editable; see storage/catalog_io.h).
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -23,6 +27,7 @@
 #include "core/discovery.h"
 #include "core/explain.h"
 #include "datagen/retailer.h"
+#include "service/serve_args.h"
 #include "storage/catalog_io.h"
 #include "util/string_util.h"
 
@@ -32,29 +37,22 @@ void PrintUsage() {
   std::fprintf(
       stderr,
       "usage: qbe_cli --db DIR --row \"cell|cell|...\" [--row ...]\n"
-      "               [--algorithm verifyall|simpleprune|filter|weave]\n"
+      "               [--algorithm "
+      "verifyall|simpleprune|filter|filterexact|weave]\n"
       "               [--max-join-length N] [--min-row-support K]\n"
       "               [--explain] [--top N]\n"
       "       qbe_cli --snapshot FILE.qbes --row ...\n"
       "       qbe_cli --demo DIR\n");
 }
 
-std::optional<qbe::Algorithm> ParseAlgorithm(const std::string& name) {
-  if (name == "verifyall") return qbe::Algorithm::kVerifyAll;
-  if (name == "simpleprune") return qbe::Algorithm::kSimplePrune;
-  if (name == "filter") return qbe::Algorithm::kFilter;
-  if (name == "filterexact") return qbe::Algorithm::kFilterExact;
-  if (name == "weave") return qbe::Algorithm::kWeave;
-  return std::nullopt;
-}
-
-/// A positive decimal int, or nullopt (non-numeric, trailing junk, ≤ 0).
-std::optional<int> ParsePositive(const char* text) {
+/// A decimal int ≥ `min`, or nullopt (absent, non-numeric, trailing junk,
+/// out of range).
+std::optional<int> ParseIntAtLeast(const char* text, int min) {
   if (text == nullptr) return std::nullopt;
   char* end = nullptr;
   errno = 0;
   const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno != 0 || value < 1 ||
+  if (end == text || *end != '\0' || errno != 0 || value < min ||
       value > INT_MAX) {
     return std::nullopt;
   }
@@ -85,28 +83,45 @@ int main(int argc, char** argv) {
       if (const char* v = next()) demo_dir = v;
     } else if (arg == "--row") {
       if (const char* v = next()) rows.push_back(qbe::SplitString(v, '|'));
+      constexpr size_t kMaxCells = qbe::ExampleTable::kMaxColumns;
+      if (!rows.empty() && rows.back().size() > kMaxCells) {
+        std::fprintf(stderr, "--row has %zu cells; at most %zu are supported\n",
+                     rows.back().size(), kMaxCells);
+        return 2;
+      }
     } else if (arg == "--algorithm") {
       const char* v = next();
       std::optional<qbe::Algorithm> algo =
-          v ? ParseAlgorithm(v) : std::nullopt;
+          v ? qbe::ParseAlgorithmName(v) : std::nullopt;
       if (!algo.has_value()) {
         std::fprintf(stderr, "unknown algorithm\n");
         return 2;
       }
       options.algorithm = *algo;
     } else if (arg == "--max-join-length") {
-      std::optional<int> l = ParsePositive(next());
+      std::optional<int> l = ParseIntAtLeast(next(), 1);
       if (!l.has_value()) {
         std::fprintf(stderr, "--max-join-length needs a positive integer\n");
         return 2;
       }
       options.max_join_tree_size = *l;
     } else if (arg == "--min-row-support") {
-      if (const char* v = next()) options.min_row_support = std::atoi(v);
+      std::optional<int> k = ParseIntAtLeast(next(), 0);
+      if (!k.has_value()) {
+        std::fprintf(stderr,
+                     "--min-row-support needs a non-negative integer\n");
+        return 2;
+      }
+      options.min_row_support = *k;
     } else if (arg == "--explain") {
       explain = true;
     } else if (arg == "--top") {
-      if (const char* v = next()) top = static_cast<size_t>(std::atoll(v));
+      std::optional<int> n = ParseIntAtLeast(next(), 0);
+      if (!n.has_value()) {
+        std::fprintf(stderr, "--top needs a non-negative integer\n");
+        return 2;
+      }
+      top = static_cast<size_t>(*n);
     } else {
       PrintUsage();
       return 2;
@@ -143,7 +158,11 @@ int main(int argc, char** argv) {
               db->num_relations(), db->foreign_keys().size(),
               db->TotalTextColumns());
 
-  size_t width = rows[0].size();
+  // The widest row sets the column count; shorter rows get empty cells.
+  size_t width = 0;
+  for (const std::vector<std::string>& row : rows) {
+    width = std::max(width, row.size());
+  }
   qbe::ExampleTable et =
       qbe::ExampleTable::WithColumns(static_cast<int>(width));
   for (std::vector<std::string>& row : rows) {
