@@ -147,20 +147,18 @@ std::unique_ptr<CandidateVerifier> MakeVerifier(
 
 DiscoveryResult DiscoverQueries(const Database& db, const ExampleTable& et,
                                 const DiscoveryOptions& options) {
-  return DiscoverQueries(DbView(db), et, options, 0);
+  return DiscoverQueries(DbView(db), et, options);
 }
 
 DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
-                                const DiscoveryOptions& options,
-                                uint64_t data_epoch) {
-  return DiscoverQueries(std::span<const DbView>(&view, 1), et, options,
-                         data_epoch);
+                                const DiscoveryOptions& options) {
+  return DiscoverQueries(std::span<const DbView>(&view, 1), et, options);
 }
 
 DiscoveryResult DiscoverQueries(std::span<const DbView> views,
                                 const ExampleTable& et,
                                 const DiscoveryOptions& options,
-                                uint64_t data_epoch, ShardStats* stats) {
+                                ShardStats* stats) {
   QBE_CHECK_MSG(!views.empty(), "discovery needs at least one view");
   const Database& db = views[0].base();
   DiscoveryResult result;
@@ -239,9 +237,7 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
   for (const DbView& view : views) et_ids.emplace_back(et, view);
   if (trace != nullptr) trace->CloseSpan(resolve_span);
 
-  ShardExecOptions probe_options;
-  probe_options.use_match_cache = options.use_match_cache;
-  ShardExecSet probes(views, graph, probe_options);
+  ShardExecSet probes(views, graph, {.use_match_cache = true});
   VerifyContext ctx{db,
                     graph,
                     probes,
@@ -250,7 +246,6 @@ DiscoveryResult DiscoverQueries(std::span<const DbView> views,
                     options.cache,
                     options.deadline,
                     views.size() == 1 ? &et_ids[0] : nullptr,
-                    data_epoch,
                     trace};
 
   // Per-algorithm verification span; every evaluation runs on this thread

@@ -54,12 +54,6 @@ struct DiscoveryOptions {
   /// run returns DiscoveryResult::timed_out with no queries. Not owned.
   const DeadlineToken* deadline = nullptr;
 
-  /// Shares (column, phrase-ids) → row-set match results across every
-  /// existence query of this request (see exec/match_cache.h). Purely an
-  /// execution-cost optimization: outcomes, verification counts, and the
-  /// valid set are bit-identical with it on or off.
-  bool use_match_cache = true;
-
   /// Optional request-scoped trace (obs/trace.h, DESIGN.md §13): discovery
   /// records per-phase spans (candidate generation, per-algorithm verify,
   /// text matching, cache lookups) and counters into it. Not owned.
@@ -105,14 +99,13 @@ struct DiscoveryResult {
 /// across views, every existence query is answered by probing the views in
 /// canonical order, and ranking sums match and live-row counts over them —
 /// so the SQL, scores, matched-row counts and verification counters are the
-/// same for every partition of the data. `data_epoch` namespaces shared
-/// eval-cache outcomes per data version (0 = plain immutable data). A
+/// same for every partition of the data. Shared eval-cache outcomes are
+/// keyed on the relation versions the views pinned (DESIGN.md §8). A
 /// non-null `stats` receives the per-view probe accounting, which only a
 /// multi-view request keeps.
 DiscoveryResult DiscoverQueries(std::span<const DbView> views,
                                 const ExampleTable& et,
                                 const DiscoveryOptions& options,
-                                uint64_t data_epoch,
                                 ShardStats* stats = nullptr);
 
 /// One plain database.
@@ -121,8 +114,7 @@ DiscoveryResult DiscoverQueries(const Database& db, const ExampleTable& et,
 
 /// One pinned live-database epoch (base + delta overlay; DESIGN.md §12).
 DiscoveryResult DiscoverQueries(const DbView& view, const ExampleTable& et,
-                                const DiscoveryOptions& options,
-                                uint64_t data_epoch);
+                                const DiscoveryOptions& options);
 
 }  // namespace qbe
 

@@ -21,7 +21,7 @@ struct KeyTriple {
 
 EvalCacheKey MakeEvalCacheKey(const Database& db, const JoinTree& tree,
                               const std::vector<PhrasePredicate>& predicates,
-                              uint64_t data_epoch) {
+                              std::span<const uint64_t> relation_versions) {
   // One predicate per ET column at most; hand-built predicate lists are
   // held to the same bound.
   constexpr size_t kMaxPredicates = ExampleTable::kMaxColumns;
@@ -43,9 +43,10 @@ EvalCacheKey MakeEvalCacheKey(const Database& db, const JoinTree& tree,
            std::tie(b.column, b.phrase_hi, b.phrase_lo);
   });
 
-  // Fixed-width fields first, then three words per predicate: the word
-  // count tells the predicate count, so distinct queries give distinct
-  // word sequences.
+  // Fixed-width fields first, then one version per tree vertex (the vertex
+  // bitset tells how many), then three words per predicate: the word count
+  // tells the predicate count, so distinct queries give distinct word
+  // sequences.
   Hasher128 hasher;
   for (int w = 0; w < RelationSet::kCapacity / 64; ++w) {
     hasher.Add(tree.verts.word(w));
@@ -53,7 +54,9 @@ EvalCacheKey MakeEvalCacheKey(const Database& db, const JoinTree& tree,
   for (int w = 0; w < EdgeSet::kCapacity / 64; ++w) {
     hasher.Add(tree.edges.word(w));
   }
-  hasher.Add(data_epoch);
+  tree.verts.ForEach([&](int rel) {
+    hasher.Add(relation_versions.empty() ? 0 : relation_versions[rel]);
+  });
   for (size_t i = 0; i < n; ++i) {
     hasher.Add(triples[i].column);
     hasher.Add(triples[i].phrase_hi);

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "exec/predicate.h"
@@ -15,18 +16,24 @@
 namespace qbe {
 
 /// Identity of one logical existence query (DESIGN.md §8): a 128-bit hash
-/// of the join tree's vertex and edge bitsets, the data epoch, and the
-/// sorted (text-column gid, exact flag, phrase fingerprint) triples of its
-/// predicates. Two existence queries share a key exactly when all of these
-/// agree, up to a 128-bit hash collision. Nothing in it depends on token
-/// ids, so one query has one key over any view, shard count or dictionary.
+/// of the join tree's vertex and edge bitsets, the version of each of the
+/// tree's relations, and the sorted (text-column gid, exact flag, phrase
+/// fingerprint) triples of its predicates. Two existence queries share a
+/// key exactly when all of these agree, up to a 128-bit hash collision.
+/// An outcome reads only the tree's own relations, so a mutation of any
+/// other relation leaves the key, and the cached outcome, in place.
+/// Nothing in it depends on token ids or row ids, so one query has one key
+/// over any dictionary, compaction, or shard count of unmutated data.
 using EvalCacheKey = Hash128;
 
-/// Builds the key without allocating. Predicates whose `fingerprint` is
-/// unset (all zero) are fingerprinted from their tokens here.
+/// Builds the key without allocating. `relation_versions` holds one word
+/// per relation id (ShardExecSet::relation_versions); empty means every
+/// relation is at version 0, as in a plain database. Predicates whose
+/// `fingerprint` is unset (all zero) are fingerprinted from their tokens
+/// here.
 EvalCacheKey MakeEvalCacheKey(const Database& db, const JoinTree& tree,
                               const std::vector<PhrasePredicate>& predicates,
-                              uint64_t data_epoch);
+                              std::span<const uint64_t> relation_versions);
 
 /// Flat open-addressing map from EvalCacheKey to a verification outcome:
 /// one array of (key, outcome) slots, linear probing from the key's low

@@ -84,9 +84,11 @@ struct VerifyContext {
   const Database& db;
   const SchemaGraph& graph;
   /// Runs every existence query of the request over its pinned views (one
-  /// view unsharded; DESIGN.md §15), and owns the request's subtree memo
-  /// and match cache. Verifiers that consult row counts directly (e.g.
-  /// FILTER's trivial-success check) must count live rows through it.
+  /// view unsharded; DESIGN.md §15), owns the request's subtree memo and
+  /// match cache, and names the relation versions the views pinned, which
+  /// key the shared outcome cache. Verifiers that consult row counts
+  /// directly (e.g. FILTER's trivial-success check) must count live rows
+  /// through it.
   const ShardExecSet& probes;
   const ExampleTable& et;
   const std::vector<CandidateQuery>& candidates;
@@ -102,11 +104,6 @@ struct VerifyContext {
   /// one view's dictionary). When set, predicates are built with id
   /// vectors and the executor skips all per-call token resolution.
   const EtTokenIds* et_ids = nullptr;
-  /// Epoch of the pinned data version when verifying over a live database
-  /// (DESIGN.md §12). 0 = the plain immutable database. The epoch is part
-  /// of every eval-cache key, so outcomes never leak across versions whose
-  /// data differs.
-  uint64_t data_epoch = 0;
   /// Optional request trace (obs/trace.h); EvalEngine records cache-lookup
   /// and execution spans into it. Observation-only — never changes
   /// outcomes or counters. Not owned.

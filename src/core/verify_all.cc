@@ -31,7 +31,8 @@ bool EvalEngine::Execute(const JoinTree& tree,
     EvalCacheKey key;
     {
       ScopedSpan key_span(ctx_.trace, SpanKind::kEvalCacheKey);
-      key = MakeEvalCacheKey(ctx_.db, tree, predicates, ctx_.data_epoch);
+      key = MakeEvalCacheKey(ctx_.db, tree, predicates,
+                             ctx_.probes.relation_versions());
     }
     std::optional<bool> cached;
     {

@@ -18,7 +18,7 @@ namespace qbe {
 /// Database directly, so a pinned epoch — base + delta pair — behaves
 /// exactly like a cold load of the merged data (DESIGN.md §12).
 ///
-/// Cheap value type (two pointers): copy freely. With a null/empty delta
+/// Cheap value type (three pointers): copy freely. With a null/empty delta
 /// every method forwards straight to the base structures, keeping the
 /// read-only hot path identical to the pre-ingest code.
 ///
@@ -30,9 +30,13 @@ class DbView {
  public:
   DbView() = default;
   explicit DbView(const Database& base) : base_(&base) {}
-  DbView(const Database& base, const DeltaView* delta)
-      : base_(&base), delta_(delta != nullptr && !delta->empty() ? delta
-                                                                 : nullptr) {}
+  /// `relation_versions`, when non-null, holds one version per relation
+  /// (DbVersion::relation_versions); null means every relation is at 0.
+  DbView(const Database& base, const DeltaView* delta,
+         const uint64_t* relation_versions = nullptr)
+      : base_(&base),
+        delta_(delta != nullptr && !delta->empty() ? delta : nullptr),
+        relation_versions_(relation_versions) {}
 
   const Database& base() const { return *base_; }
   const DeltaView* delta() const { return delta_; }
@@ -54,6 +58,13 @@ class DbView {
   }
   const ColumnRef& TextColumnByGid(int gid) const {
     return base_->TextColumnByGid(gid);
+  }
+
+  /// Committed appends and tombstones that have touched `rel` in the
+  /// pinned live database (0 for a plain database). The eval-cache key
+  /// carries it for each relation of a join tree (DESIGN.md §8).
+  uint64_t RelationVersion(int rel) const {
+    return relation_versions_ == nullptr ? 0 : relation_versions_[rel];
   }
 
   // --- rows ---------------------------------------------------------------
@@ -151,6 +162,7 @@ class DbView {
  private:
   const Database* base_ = nullptr;
   const DeltaView* delta_ = nullptr;  // null ⇒ plain passthrough
+  const uint64_t* relation_versions_ = nullptr;  // null ⇒ all 0
 };
 
 }  // namespace qbe

@@ -22,6 +22,8 @@ const char* TypeName(ColumnType type) {
 
 LiveDatabase::LiveDatabase(Database base) {
   current_.epoch = 0;
+  current_.relation_versions =
+      std::make_shared<const std::vector<uint64_t>>(base.num_relations(), 0);
   current_.base = std::make_shared<const Database>(std::move(base));
 }
 
@@ -126,13 +128,23 @@ bool LiveDatabase::CommitLocked(std::vector<WalRecord> records,
     }
     if (!wal_.Sync(error)) return false;
   }
+  const size_t first = ops_.size();
   for (WalRecord& record : records) ops_.push_back(std::move(record));
+  Publish(NextVersion(std::span<const WalRecord>(ops_).subspan(first)));
+  return true;
+}
+
+DbVersion LiveDatabase::NextVersion(
+    std::span<const WalRecord> added) const {
   DbVersion next;
   next.epoch = current_.epoch + 1;
   next.base = current_.base;
   next.delta = BuildDeltaView(*next.base, ops_, next.epoch);
-  Publish(std::move(next));
-  return true;
+  auto versions =
+      std::make_shared<std::vector<uint64_t>>(*current_.relation_versions);
+  for (const WalRecord& record : added) ++(*versions)[record.rel];
+  next.relation_versions = std::move(versions);
+  return next;
 }
 
 bool LiveDatabase::Append(int rel, std::vector<Value> values,
@@ -301,11 +313,7 @@ bool LiveDatabase::AttachWal(const std::string& path, std::string* error) {
   }
   if (!log.records.empty()) {
     ops_ = std::move(log.records);
-    DbVersion next;
-    next.epoch = current_.epoch + 1;
-    next.base = current_.base;
-    next.delta = BuildDeltaView(*next.base, ops_, next.epoch);
-    Publish(std::move(next));
+    Publish(NextVersion(ops_));
   }
   return true;
 }
@@ -442,6 +450,9 @@ bool LiveDatabase::InstallFold(const Fold& fold, MergedBase merged,
   next.epoch = current_.epoch + 1;
   next.base = std::make_shared<const Database>(std::move(merged.base));
   if (!tail.empty()) next.delta = BuildDeltaView(*next.base, tail, next.epoch);
+  // Same logical data, renumbered rows: every relation keeps its version,
+  // the tail's bumps included.
+  next.relation_versions = current_.relation_versions;
   const uint64_t published_epoch = next.epoch;
   Publish(std::move(next));
   ops_ = std::move(tail);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,8 +23,14 @@ struct DbVersion {
   uint64_t epoch = 0;
   std::shared_ptr<const Database> base;
   std::shared_ptr<const DeltaView> delta;  // null ⇒ pure base
+  /// Per relation, how many committed appends and tombstones have touched
+  /// it (DESIGN.md §12): equal versions of one relation mean equal data.
+  /// A fold keeps them, since it keeps the logical data.
+  std::shared_ptr<const std::vector<uint64_t>> relation_versions;
 
-  DbView view() const { return DbView(*base, delta.get()); }
+  DbView view() const {
+    return DbView(*base, delta.get(), relation_versions->data());
+  }
 };
 
 /// What one compaction did (service metrics / tool output).
@@ -154,6 +161,11 @@ class LiveDatabase {
   /// Appends `records` to the log + WAL and publishes the next epoch.
   /// Caller holds writer_mu_ and has validated every record.
   bool CommitLocked(std::vector<WalRecord> records, std::string* error);
+
+  /// The epoch after current_ once `added`, the tail of `ops_`, has been
+  /// logged: the same base, the overlay rebuilt from `ops_`, and one version
+  /// bump per added record. Caller holds writer_mu_.
+  DbVersion NextVersion(std::span<const WalRecord> added) const;
 
   void Publish(DbVersion next);
 

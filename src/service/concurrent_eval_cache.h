@@ -25,10 +25,13 @@ namespace qbe {
 /// probes current, then previous, and moves a hit found in previous into
 /// current. StartGeneration drops previous and demotes current, so the
 /// cache holds only outcomes inserted or hit since the rotation before
-/// last. The service rotates on every epoch publish: keys carry the data
-/// epoch, so entries of a superseded epoch can only be hit by requests
-/// still pinned to it, and dropping them costs at most a miss. Correctness
-/// never depends on what is retained.
+/// last. The service rotates on every fold, or on every publish when it
+/// runs without background compaction: keys carry the versions of their
+/// tree's relations, so only an append or tombstone of one of those
+/// relations retires an entry, and a fold (which keeps every version)
+/// retires none. A retired entry can only be hit by requests still pinned
+/// to its versions, and dropping any entry costs at most a miss.
+/// Correctness never depends on what is retained.
 ///
 /// hits/lookups are relaxed atomics, cumulative across rotations, and
 /// advance once per request (AddTraffic): exact totals of finished

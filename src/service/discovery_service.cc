@@ -9,7 +9,6 @@
 #include "obs/slow_log.h"
 #include "shard/partition.h"
 #include "util/deadline.h"
-#include "util/hash64.h"
 #include "util/stopwatch.h"
 
 namespace qbe {
@@ -190,25 +189,6 @@ std::vector<Database> OneShard(Database db) {
   return shards;
 }
 
-/// The eval-cache namespace of one request's pinned versions: a lone
-/// shard's own epoch, else a deterministic digest of the per-shard epochs —
-/// 0 (the "pristine" namespace) iff every shard is pristine, else forced
-/// nonzero so mutated and pristine states never share cache entries.
-uint64_t CombinedEpoch(const std::vector<DbVersion>& versions) {
-  if (versions.size() == 1) return versions[0].epoch;
-  std::vector<uint64_t> epochs;
-  epochs.reserve(versions.size());
-  bool any_nonzero = false;
-  for (const DbVersion& version : versions) {
-    epochs.push_back(version.epoch);
-    any_nonzero = any_nonzero || version.epoch != 0;
-  }
-  if (!any_nonzero) return 0;
-  const uint64_t epoch =
-      Hash64(epochs.data(), epochs.size() * sizeof(uint64_t));
-  return epoch == 0 ? 1 : epoch;
-}
-
 /// Per-shard suffix for WAL/snapshot paths in sharded mode; unsharded
 /// deployments keep their paths verbatim.
 std::string ShardPath(const std::string& path, int shard, int num_shards) {
@@ -364,9 +344,9 @@ void DiscoveryService::Run(const std::shared_ptr<Request>& request) {
 
   // Pin the epoch current right now — every shard's — so the whole
   // discovery reads one consistent base+delta snapshot per shard, kept
-  // alive across any concurrent appends or compactions. The (combined)
-  // epoch namespaces the shared eval cache, so outcomes never cross data
-  // versions.
+  // alive across any concurrent appends or compactions. The relation
+  // versions the pins carry key the shared eval cache, so an outcome is
+  // reused exactly while its tree's relations hold the same data.
   std::vector<DbVersion> versions;
   versions.reserve(lives_.size());
   for (const auto& live : lives_) versions.push_back(live->Pin());
@@ -377,7 +357,7 @@ void DiscoveryService::Run(const std::shared_ptr<Request>& request) {
   // Probe accounting is exported per shard only; a lone shard keeps none.
   ShardStats shard_stats;
   DiscoveryResult result =
-      DiscoverQueries(views, request->et, options, CombinedEpoch(versions),
+      DiscoverQueries(views, request->et, options,
                       num_shards() > 1 ? &shard_stats : nullptr);
   if (trace != nullptr) trace->CloseSpan(request_span);
 
@@ -496,7 +476,7 @@ bool DiscoveryService::AppendRow(int rel, std::vector<Value> values,
       return false;
     }
     m.rows_appended.Increment();
-    RotateCache();
+    AfterMutation();
     return true;
   }
 
@@ -519,7 +499,7 @@ bool DiscoveryService::AppendRow(int rel, std::vector<Value> values,
     return false;
   }
   m.rows_appended.Increment();
-  RotateCache();
+  AfterMutation();
   return true;
 }
 
@@ -535,7 +515,7 @@ bool DiscoveryService::AppendBatch(int rel,
       return false;
     }
     m.rows_appended.Increment(n);
-    RotateCache();
+    AfterMutation();
     return true;
   }
 
@@ -582,7 +562,7 @@ bool DiscoveryService::TombstoneAt(int shard, int rel, uint32_t row,
     return false;
   }
   m.rows_tombstoned.Increment();
-  RotateCache();
+  AfterMutation();
   return true;
 }
 
@@ -617,6 +597,10 @@ void DiscoveryService::RecordCompaction(const CompactionStats& stats) {
   m.compaction_tail_ops.Increment(static_cast<int64_t>(stats.remaining_ops));
   m.compaction_seconds.Observe(stats.seconds);
   RotateCache();
+}
+
+void DiscoveryService::AfterMutation() {
+  if (options_.compact_after_ops == 0) RotateCache();
 }
 
 void DiscoveryService::RotateCache() {

@@ -73,7 +73,8 @@ struct ServiceOptions {
 
   /// Background compaction: fold the overlay into a fresh base once this
   /// many ops are logged (0 = background compaction off; CompactNow still
-  /// works).
+  /// works). Also sets when the eval cache rotates: on every fold when
+  /// positive, on every append and tombstone when 0.
   size_t compact_after_ops = 0;
 
   /// Snapshot refresh target for compaction. Required (by
@@ -173,10 +174,12 @@ class DiscoveryService {
   //
   // Appends/tombstones publish a new epoch immediately; requests already
   // running keep their pinned epoch (consistent snapshots), requests
-  // admitted afterwards see the new data. Every publish (compactions
-  // included) also rotates the eval cache's generations, so outcomes keyed
-  // by superseded epochs are freed within two publishes. All mutators are
-  // thread-safe.
+  // admitted afterwards see the new data. Each one bumps the version of
+  // the relation it touches, which retires the cached outcomes of join
+  // trees over that relation and no others (DESIGN.md §8). Every fold
+  // rotates the eval cache's generations, freeing retired outcomes within
+  // two folds; without background compaction (compact_after_ops == 0)
+  // every append and tombstone rotates too. All mutators are thread-safe.
 
   /// Admits one appended row. On rejection (bad arity/type, duplicate PK)
   /// nothing changes and `*error` explains why.
@@ -249,8 +252,12 @@ class DiscoveryService {
   /// path calls it per row and observes the batch once).
   bool AppendRow(int rel, std::vector<Value> values, std::string* error);
   void RecordCompaction(const CompactionStats& stats);
-  /// Runs after every epoch publish this service causes: drops the eval
-  /// cache's previous generation and demotes the current one.
+  /// Runs after every committed append or tombstone: rotates the cache
+  /// unless background compaction is on, whose folds then rotate it.
+  void AfterMutation();
+  /// Runs after every fold, and after every mutation without background
+  /// compaction: drops the eval cache's previous generation and demotes the
+  /// current one.
   void RotateCache();
   void RefreshGauges();
 

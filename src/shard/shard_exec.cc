@@ -5,6 +5,7 @@
 
 #include "core/verifier.h"
 #include "util/check.h"
+#include "util/hash64.h"
 
 namespace qbe {
 
@@ -15,6 +16,23 @@ ShardExecSet::ShardExecSet(std::span<const DbView> views,
   shards_.reserve(views.size());
   for (const DbView& view : views) {
     shards_.push_back(std::make_unique<Shard>(view, graph, options));
+  }
+  const int num_relations = views[0].num_relations();
+  relation_versions_.resize(num_relations);
+  std::vector<uint64_t> per_view(views.size());
+  for (int rel = 0; rel < num_relations; ++rel) {
+    bool any_nonzero = false;
+    for (size_t v = 0; v < views.size(); ++v) {
+      per_view[v] = views[v].RelationVersion(rel);
+      any_nonzero = any_nonzero || per_view[v] != 0;
+    }
+    if (views.size() == 1 || !any_nonzero) {
+      relation_versions_[rel] = per_view[0];
+      continue;
+    }
+    const uint64_t word =
+        Hash64(per_view.data(), per_view.size() * sizeof(uint64_t));
+    relation_versions_[rel] = word == 0 ? 1 : word;
   }
 }
 

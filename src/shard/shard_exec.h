@@ -99,6 +99,15 @@ class ShardExecSet {
   /// none.
   ShardStats Stats() const;
 
+  /// One word per relation id naming the data the views pinned of it: the
+  /// eval-cache key's relation versions (MakeEvalCacheKey). A lone view
+  /// gives its RelationVersion. Several give 0 when every view is at 0,
+  /// else a nonzero hash of the per-view versions in view order — a tuple,
+  /// not a sum: views pinned at (5, 3) and at (4, 4) hold different data.
+  std::span<const uint64_t> relation_versions() const {
+    return relation_versions_;
+  }
+
   /// View `s`'s executor, for the harness comparators that materialize.
   const Executor& executor(int s) const { return shards_[s]->exec; }
 
@@ -127,6 +136,7 @@ class ShardExecSet {
   // unique_ptr per shard: Shard holds an Executor referencing its own
   // exec_view, so elements must never move.
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<uint64_t> relation_versions_;  // by relation id
   OwnerThread owner_;
 };
 

@@ -175,7 +175,7 @@ TEST_F(CompactionFoldTest, TailCommittedDuringTheMergeIsRebasedOntoTheNewBase) {
   bool any_queries = false;
   for (const ExampleTable& et : Ets()) {
     const std::vector<CanonQuery> live_queries = Canon(
-        DiscoverQueries(installed.view(), et, {}, installed.epoch));
+        DiscoverQueries(installed.view(), et, {}));
     EXPECT_EQ(live_queries, Canon(DiscoverQueries(cold, et)));
     any_queries = any_queries || !live_queries.empty();
   }

@@ -1,9 +1,12 @@
 // The shared eval cache under live ingestion (DESIGN.md §8, §12): the
-// ConcurrentEvalCache's two generations, and a DiscoveryService that
-// rotates them on every epoch publish. The invariant, asserted through the
-// service with 1 and with 2 shards: every read served across appends,
-// tombstones, a PK reinsert and a compaction equals discovery over a cold
-// load of the epoch it pinned, while the cache holds only recent outcomes.
+// ConcurrentEvalCache's two generations, keys that carry the versions of
+// their tree's relations, and a DiscoveryService that rotates the
+// generations on every fold (on every publish without background
+// compaction). The invariant, asserted through the service with 1 and with
+// 2 shards: every read served across appends, tombstones, a PK reinsert
+// and compactions equals discovery over a cold load of the epoch it
+// pinned, while the cache holds only recent outcomes — and a read whose
+// join trees avoid every mutated relation is still served from the cache.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include "service/concurrent_eval_cache.h"
 #include "service/discovery_service.h"
 #include "shard/partition.h"
+#include "shard/shard_exec.h"
 #include "shard_test_util.h"
 
 namespace qbe {
@@ -162,10 +166,16 @@ Database SmallShardableDatabase() {
   return MakeShardableDatabase(12, 2, 1, kDbSeed);
 }
 
-std::unique_ptr<DiscoveryService> MakeService(int num_shards) {
+/// A service over SmallShardableDatabase split `num_shards` ways.
+/// `compact_after_ops` > 0 turns background compaction on, so that only
+/// folds rotate the cache; the tests pick thresholds no run reaches and
+/// fold with CompactNow.
+std::unique_ptr<DiscoveryService> MakeService(int num_shards,
+                                              size_t compact_after_ops = 0) {
   ServiceOptions options;
   options.num_workers = 2;
   options.shard_seed = kShardSeed;
+  options.compact_after_ops = compact_after_ops;
   if (num_shards == 1) {
     return std::make_unique<DiscoveryService>(SmallShardableDatabase(),
                                               options);
@@ -222,6 +232,21 @@ void TombstoneCustomer(DiscoveryService& service, int64_t cust_id) {
         ASSERT_TRUE(service.TombstoneAt(s, kCustomer, row, &error)) << error;
         return;
       }
+    }
+  }
+  FAIL() << "no live customer " << cust_id;
+}
+
+/// Tombstones the live Customer row with PK `cust_id` in `live`.
+void TombstoneCustomer(LiveDatabase& live, int64_t cust_id) {
+  const DbVersion version = live.Pin();
+  const DbView view = version.view();
+  for (uint32_t row = 0; row < view.TotalRows(kCustomer); ++row) {
+    if (view.IsLive(kCustomer, row) &&
+        view.IdAt(kCustomer, kCustIdCol, row) == cust_id) {
+      std::string error;
+      ASSERT_TRUE(live.Tombstone(kCustomer, row, &error)) << error;
+      return;
     }
   }
   FAIL() << "no live customer " << cust_id;
@@ -361,6 +386,205 @@ TEST(SharedCacheIngestBoundTest, SizeStaysBoundedOverAppendReadRounds) {
             std::string::npos)
       << dump;
   EXPECT_NE(dump.find("gauge     eval_cache_bytes "), std::string::npos);
+}
+
+// --- per-relation validity ------------------------------------------------
+
+/// A compaction threshold no test reaches: background compaction is on (so
+/// appends do not rotate the cache) but only CompactNow folds.
+constexpr size_t kUnreachedThreshold = 1000000;
+
+TEST(RelationVersionKeyTest, PerShardVersionsAreATupleNotASum) {
+  // Two requests can pin a relation's shards at interleaved moments: (5, 3)
+  // and (4, 4) sum alike but hold different data.
+  const Database db = SmallShardableDatabase();
+  const SchemaGraph& graph = db.schema_graph();
+  auto versions = [](uint64_t order_version) {
+    return std::vector<uint64_t>{0, order_version, 0};
+  };
+  PhrasePredicate laptop;
+  laptop.column = ColumnRef{kOrder, 2};
+  laptop.tokens = {"laptop"};
+  PhrasePredicate mike;
+  mike.column = ColumnRef{kCustomer, 1};
+  mike.tokens = {"mike"};
+  // The key of a one-relation query when shard 0 pinned `s0` and shard 1
+  // pinned `s1`.
+  auto key = [&](const std::vector<uint64_t>& s0,
+                 const std::vector<uint64_t>& s1,
+                 const PhrasePredicate& pred) {
+    const std::vector<DbView> views = {DbView(db, nullptr, s0.data()),
+                                       DbView(db, nullptr, s1.data())};
+    const ShardExecSet probes(views, graph);
+    return MakeEvalCacheKey(db, JoinTree::Single(pred.column.rel), {pred},
+                            probes.relation_versions());
+  };
+  const EvalCacheKey v53 = key(versions(5), versions(3), laptop);
+  EXPECT_NE(v53, key(versions(4), versions(4), laptop));
+  EXPECT_NE(v53, key(versions(3), versions(5), laptop));
+  EXPECT_EQ(v53, key(versions(5), versions(3), laptop));
+  // A tree over Customer alone is at (0, 0) in every case, which names the
+  // same data as one unmutated view.
+  const EvalCacheKey customer = key(versions(5), versions(3), mike);
+  EXPECT_EQ(customer, key(versions(4), versions(4), mike));
+  EXPECT_EQ(customer,
+            MakeEvalCacheKey(db, JoinTree::Single(kCustomer), {mike}, {}));
+}
+
+class RelationValidityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RelationValidityTest, ReadAvoidingARelationHitsAfterAppendsToIt) {
+  std::unique_ptr<DiscoveryService> service =
+      MakeService(GetParam(), kUnreachedThreshold);
+  LiveDatabase reference(SmallShardableDatabase());
+  // Names and items: every candidate tree is over Customer and Order.
+  const ExampleTable et = Et({{"mike", "laptop"}, {"mary", ""}});
+  auto read = [&] {
+    ServiceResponse response = service->Discover(et);
+    EXPECT_TRUE(response.ok()) << response.result.error;
+    const Database cold = MaterializeDatabase(reference.Pin().view());
+    EXPECT_EQ(Canon(response.result), Canon(DiscoverQueries(cold, et)));
+    return response.result.counters;
+  };
+  auto append_both = [&](int rel, const std::vector<Value>& row) {
+    std::string error;
+    ASSERT_TRUE(service->Append(rel, row, &error)) << error;
+    ASSERT_TRUE(reference.Append(rel, row, &error)) << error;
+  };
+
+  ASSERT_GT(read().verifications, 0);
+  EXPECT_EQ(read().verifications, 0) << "the repeat is served from the cache";
+  // Shipments are in none of the read's trees.
+  for (int64_t ship = 0; ship < 3; ++ship) {
+    append_both(kShipment,
+                {int64_t{900} + ship, ship, std::string("fragile")});
+  }
+  const VerificationCounters after_shipments = read();
+  EXPECT_EQ(after_shipments.verifications, 0);
+  EXPECT_EQ(after_shipments.eval_cache_hits,
+            after_shipments.eval_cache_lookups);
+  EXPECT_EQ(service->metrics().GetCounter("eval_cache_generations").Value(),
+            0)
+      << "appends do not rotate while background compaction is on";
+
+  // An order is in every tree over Order: those outcomes are recomputed.
+  append_both(kOrder, {int64_t{500}, int64_t{1}, std::string("laptop")});
+  EXPECT_GT(read().verifications, 0);
+  EXPECT_EQ(read().verifications, 0);
+}
+
+TEST_P(RelationValidityTest, ReadsMatchColdLoadsAcrossParentMutationsAndFolds) {
+  std::unique_ptr<DiscoveryService> service =
+      MakeService(GetParam(), kUnreachedThreshold);
+  LiveDatabase reference(SmallShardableDatabase());
+  const std::vector<ExampleTable> workload = {
+      Et({{"zoe", "camera"}}),
+      Et({{"zoe", "quito"}, {"mike", ""}}),
+      Et({{"camera", "gift"}}),
+      Et({{"camera"}, {"laptop"}}),
+      Et({{"quito", "camera", "gift"}}),
+  };
+  // Each read runs twice: the second pass hits what the first cached.
+  auto expect_reads_match = [&](const std::string& step) {
+    const Database cold = MaterializeDatabase(reference.Pin().view());
+    for (const ExampleTable& et : workload) {
+      const DiscoveryResult expected = DiscoverQueries(cold, et);
+      ASSERT_TRUE(expected.ok()) << expected.error;
+      for (int pass = 0; pass < 2; ++pass) {
+        const int64_t hits_before = service->cache().hits();
+        ServiceResponse response = service->Discover(et);
+        ASSERT_TRUE(response.ok()) << step << ": " << response.result.error;
+        EXPECT_EQ(Canon(response.result), Canon(expected))
+            << step << ", pass " << pass;
+        if (pass == 1 && response.result.counters.eval_cache_lookups > 0) {
+          EXPECT_GT(service->cache().hits(), hits_before) << step;
+        }
+      }
+    }
+  };
+  auto append_both = [&](int rel, const std::vector<Value>& row) {
+    std::string error;
+    ASSERT_TRUE(service->Append(rel, row, &error)) << error;
+    ASSERT_TRUE(reference.Append(rel, row, &error)) << error;
+  };
+  auto compact = [&] {
+    std::string error;
+    ASSERT_TRUE(service->CompactNow(&error)) << error;
+  };
+
+  expect_reads_match("pristine");
+  // An order whose customer does not exist yet: its FK dangles, so no tree
+  // over Customer and Order joins it.
+  append_both(kOrder, {int64_t{600}, int64_t{200}, std::string("camera")});
+  append_both(kShipment, {int64_t{950}, int64_t{600}, std::string("gift")});
+  expect_reads_match("dangling order");
+  // The parent append revalidates the child: only Customer's version moves,
+  // and the Customer–Order outcomes change with it.
+  append_both(kCustomer, {int64_t{200}, std::string("zoe"),
+                          std::string("quito")});
+  expect_reads_match("parent append");
+  compact();
+  expect_reads_match("fold after parent append");
+  // The parent tombstone dangles the child again.
+  TombstoneCustomer(*service, 200);
+  TombstoneCustomer(reference, 200);
+  expect_reads_match("parent tombstone");
+  compact();
+  expect_reads_match("fold after parent tombstone");
+
+  // Only the two folds rotated the cache.
+  MetricsRegistry& metrics = service->metrics();
+  EXPECT_EQ(metrics.GetCounter("eval_cache_generations").Value(),
+            metrics.GetCounter("compactions").Value());
+  EXPECT_GE(metrics.GetCounter("compactions").Value(), 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, RelationValidityTest,
+                         ::testing::Values(1, 2));
+
+TEST(SharedCacheIngestBoundTest, SizeStaysBoundedBetweenFolds) {
+  // With background compaction on, appends do not rotate the cache and
+  // only folds do. Every entry was inserted or hit since the fold before
+  // last, and each insert or hit follows a lookup, so the cache holds at
+  // most the lookups made since that fold.
+  std::unique_ptr<DiscoveryService> service =
+      MakeService(1, kUnreachedThreshold);
+  const std::vector<ExampleTable> reads = {
+      Et({{"zoe", "quito"}}),
+      Et({{"mike", "laptop"}, {"mary", "tablet"}}),
+  };
+  constexpr int kRounds = 120;
+  constexpr int kRoundsPerFold = 10;
+  int64_t lookups_at_fold[2] = {0, 0};  // the last fold, the one before
+  size_t peak = 0;
+  int64_t folds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::string error;
+    ASSERT_TRUE(service->Append(kCustomer,
+                                {int64_t{1000 + round}, std::string("zoe"),
+                                 std::string("quito")},
+                                &error))
+        << error;
+    for (const ExampleTable& et : reads) {
+      ServiceResponse response = service->Discover(et);
+      ASSERT_TRUE(response.ok()) << response.result.error;
+    }
+    const size_t size = service->cache().size();
+    ASSERT_LE(size, static_cast<size_t>(service->cache().lookups() -
+                                        lookups_at_fold[1]))
+        << "round " << round;
+    peak = std::max(peak, size);
+    if (round % kRoundsPerFold == kRoundsPerFold - 1) {
+      ASSERT_TRUE(service->CompactNow(&error)) << error;
+      ++folds;
+      lookups_at_fold[1] = lookups_at_fold[0];
+      lookups_at_fold[0] = service->cache().lookups();
+    }
+  }
+  EXPECT_GT(service->cache().lookups(), int64_t{4} * static_cast<int64_t>(peak))
+      << "the workload must look up far more than the cache keeps";
+  EXPECT_EQ(service->metrics().GetCounter("eval_cache_generations").Value(),
+            folds);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // The eval cache's fixed-width keys and flat tables (DESIGN.md §8): a key
-// identifies one logical existence query — join tree, data epoch and
-// predicate multiset — independently of views and dictionaries, and the
+// identifies one logical existence query — join tree, the versions of its
+// relations and predicate multiset — independently of views and
+// dictionaries, and the
 // open-addressing tables keep every entry findable through growth,
 // removal and generation rotation.
 
@@ -83,14 +84,17 @@ ExampleTable Et(const std::vector<std::vector<std::string>>& rows) {
   return et;
 }
 
-/// The canonical text form of an existence query: tree ids, epoch and the
-/// sorted "gid!tokens" / "gid:tokens" predicate parts. Two queries are the
-/// same logical query exactly when these strings are equal.
+/// The canonical text form of an existence query: tree ids with each
+/// vertex's relation version, and the sorted "gid!tokens" / "gid:tokens"
+/// predicate parts. Two queries are the same logical query exactly when
+/// these strings are equal.
 std::string CanonicalText(const Database& db, const JoinTree& tree,
                           const std::vector<PhrasePredicate>& predicates,
-                          uint64_t epoch) {
-  std::string text = '@' + std::to_string(epoch) + '#';
-  tree.verts.ForEach([&](int v) { text += 'v' + std::to_string(v); });
+                          const std::vector<uint64_t>& versions) {
+  std::string text;
+  tree.verts.ForEach([&](int v) {
+    text += 'v' + std::to_string(v) + '@' + std::to_string(versions[v]);
+  });
   tree.edges.ForEach([&](int e) { text += 'e' + std::to_string(e); });
   std::vector<std::string> parts;
   for (const PhrasePredicate& pred : predicates) {
@@ -131,22 +135,46 @@ TEST(EvalCacheKeyTest, SameVerticesDifferentForeignKeyEdgesDiffer) {
   ASSERT_FALSE(home.edges == away.edges);
 
   PhrasePredicate lions = Pred(ColumnRef{team_rel, 1}, {"lions"});
-  EXPECT_NE(MakeEvalCacheKey(db, home, {lions}, 0),
-            MakeEvalCacheKey(db, away, {lions}, 0));
-  EXPECT_EQ(MakeEvalCacheKey(db, home, {lions}, 0),
-            MakeEvalCacheKey(db, home, {lions}, 0));
+  EXPECT_NE(MakeEvalCacheKey(db, home, {lions}, {}),
+            MakeEvalCacheKey(db, away, {lions}, {}));
+  EXPECT_EQ(MakeEvalCacheKey(db, home, {lions}, {}),
+            MakeEvalCacheKey(db, home, {lions}, {}));
 }
 
-TEST(EvalCacheKeyTest, EpochIsPartOfTheKey) {
+TEST(EvalCacheKeyTest, OnlyTheTreesRelationVersionsArePartOfTheKey) {
   Database db = MakeRetailerDatabase();
+  const SchemaGraph& graph = db.schema_graph();
   const int customer = db.RelationIdByName("Customer");
   JoinTree tree = JoinTree::Single(customer);
+  const int edge = graph.IncidentEdges(customer)[0];
+  JoinTree joined = ExtendTree(tree, graph, edge);
+  const ForeignKey& fk = db.foreign_key(edge);
+  const int neighbour = fk.from_rel == customer ? fk.to_rel : fk.from_rel;
+  int other = 0;
+  while (joined.verts.Test(other)) ++other;
+  ASSERT_LT(other, db.num_relations());
   PhrasePredicate mike = Pred(ColumnRef{customer, 1}, {"mike"});
-  const EvalCacheKey epoch0 = MakeEvalCacheKey(db, tree, {mike}, 0);
-  const EvalCacheKey epoch7 = MakeEvalCacheKey(db, tree, {mike}, 7);
-  EXPECT_NE(epoch0, epoch7);
-  EXPECT_NE(epoch7, MakeEvalCacheKey(db, tree, {mike}, 8));
-  EXPECT_EQ(epoch7, MakeEvalCacheKey(db, tree, {mike}, 7));
+
+  std::vector<uint64_t> versions(db.num_relations(), 0);
+  const EvalCacheKey pristine = MakeEvalCacheKey(db, tree, {mike}, {});
+  EXPECT_EQ(pristine, MakeEvalCacheKey(db, tree, {mike}, versions))
+      << "an empty version list means every relation at 0";
+  // A relation outside the tree does not move the key.
+  versions[other] = 7;
+  EXPECT_EQ(pristine, MakeEvalCacheKey(db, tree, {mike}, versions));
+  EXPECT_EQ(MakeEvalCacheKey(db, joined, {mike}, {}),
+            MakeEvalCacheKey(db, joined, {mike}, versions));
+  // Every vertex's version does.
+  versions[customer] = 7;
+  const EvalCacheKey seven = MakeEvalCacheKey(db, tree, {mike}, versions);
+  EXPECT_NE(pristine, seven);
+  versions[customer] = 8;
+  EXPECT_NE(seven, MakeEvalCacheKey(db, tree, {mike}, versions));
+  versions[customer] = 7;
+  EXPECT_EQ(seven, MakeEvalCacheKey(db, tree, {mike}, versions));
+  const EvalCacheKey before = MakeEvalCacheKey(db, joined, {mike}, versions);
+  versions[neighbour] += 1;
+  EXPECT_NE(before, MakeEvalCacheKey(db, joined, {mike}, versions));
 }
 
 TEST(EvalCacheKeyTest, FingerprintSourceAndTokenIdsDoNotMatter) {
@@ -160,21 +188,23 @@ TEST(EvalCacheKeyTest, FingerprintSourceAndTokenIdsDoNotMatter) {
   from_et.ids = {1, 2};
   from_et.fingerprint = et.CellFingerprint(0, 0);
   PhrasePredicate by_hand = Pred(ColumnRef{customer, 1}, {"mike", "jones"});
-  EXPECT_EQ(MakeEvalCacheKey(db, tree, {from_et}, 0),
-            MakeEvalCacheKey(db, tree, {by_hand}, 0));
+  EXPECT_EQ(MakeEvalCacheKey(db, tree, {from_et}, {}),
+            MakeEvalCacheKey(db, tree, {by_hand}, {}));
   // Token order and boundaries are part of the phrase.
   PhrasePredicate swapped = Pred(ColumnRef{customer, 1}, {"jones", "mike"});
   PhrasePredicate joined = Pred(ColumnRef{customer, 1}, {"mikejones"});
-  EXPECT_NE(MakeEvalCacheKey(db, tree, {by_hand}, 0),
-            MakeEvalCacheKey(db, tree, {swapped}, 0));
-  EXPECT_NE(MakeEvalCacheKey(db, tree, {by_hand}, 0),
-            MakeEvalCacheKey(db, tree, {joined}, 0));
+  EXPECT_NE(MakeEvalCacheKey(db, tree, {by_hand}, {}),
+            MakeEvalCacheKey(db, tree, {swapped}, {}));
+  EXPECT_NE(MakeEvalCacheKey(db, tree, {by_hand}, {}),
+            MakeEvalCacheKey(db, tree, {joined}, {}));
 }
 
 TEST(EvalCacheKeyTest, KeysMatchExactlyWhenCanonicalTextMatches) {
-  // Every CQ-row existence query of a small workload, at two epochs: the
-  // map from canonical text to key and its inverse must both be functions,
-  // so two queries share a cache entry exactly when their text matches.
+  // Every CQ-row existence query of a small workload, under two version
+  // lists that differ in one relation: the map from canonical text to key
+  // and its inverse must both be functions, so two queries share a cache
+  // entry exactly when their text matches — also across the version lists
+  // when the tree avoids the bumped relation.
   Database db = MakeShardableDatabase(12, 2, 1, 23);
   const SchemaGraph& graph = db.schema_graph();
   const std::vector<ExampleTable> ets = {
@@ -183,6 +213,9 @@ TEST(EvalCacheKeyTest, KeysMatchExactlyWhenCanonicalTextMatches) {
       Et({{"berlin", "express"}, {"tokyo", ""}}),
       Et({{"mike", "berlin"}}),
   };
+  std::vector<std::vector<uint64_t>> version_lists(
+      2, std::vector<uint64_t>(db.num_relations(), 0));
+  version_lists[1][0] = 3;
   std::map<std::string, EvalCacheKey> key_of;
   std::map<EvalCacheKey, std::string> text_of;
   size_t queries = 0;
@@ -192,9 +225,11 @@ TEST(EvalCacheKeyTest, KeysMatchExactlyWhenCanonicalTextMatches) {
     for (const CandidateQuery& q : candidates) {
       for (int r = 0; r < et.num_rows(); ++r) {
         std::vector<PhrasePredicate> preds = RowPredicates(q, et, r);
-        for (uint64_t epoch : {uint64_t{0}, uint64_t{3}}) {
-          const EvalCacheKey key = MakeEvalCacheKey(db, q.tree, preds, epoch);
-          const std::string text = CanonicalText(db, q.tree, preds, epoch);
+        for (const std::vector<uint64_t>& versions : version_lists) {
+          const EvalCacheKey key =
+              MakeEvalCacheKey(db, q.tree, preds, versions);
+          const std::string text =
+              CanonicalText(db, q.tree, preds, versions);
           auto [k, new_text] = key_of.emplace(text, key);
           EXPECT_EQ(k->second, key) << text;
           auto [t, new_key] = text_of.emplace(key, text);
@@ -225,9 +260,9 @@ TEST(EvalCacheKeyTest, OneViewAndTwoViewsRecordIdenticalKeySets) {
     RecordingEvalCache two_cache;
     DiscoveryOptions options;
     options.cache = &one_cache;
-    DiscoveryResult one = DiscoverQueries(DbView(db), et, options, 0);
+    DiscoveryResult one = DiscoverQueries(DbView(db), et, options);
     options.cache = &two_cache;
-    DiscoveryResult two = DiscoverQueries(two_views, et, options, 0);
+    DiscoveryResult two = DiscoverQueries(two_views, et, options);
     ASSERT_TRUE(one.ok()) << one.error;
     ASSERT_TRUE(two.ok()) << two.error;
     EXPECT_FALSE(one_cache.keys().empty());

@@ -210,7 +210,7 @@ TEST_F(FilterVerifierDeadlineTest, ExpiredDeadlineStopsCandidateEnumeration) {
   // One view and two: the same pipeline must stop at any view count.
   for (size_t num_views : {1, 2}) {
     const std::vector<DbView> views(num_views, DbView(db_));
-    DiscoveryResult result = DiscoverQueries(views, et_, options, 0);
+    DiscoveryResult result = DiscoverQueries(views, et_, options);
     EXPECT_TRUE(result.timed_out) << "views=" << num_views;
     EXPECT_EQ(result.counters.verifications, 0);
     EXPECT_TRUE(result.queries.empty());

@@ -128,7 +128,7 @@ void RunReader(LiveDatabase& live, const ExampleTable& et, int reader,
                std::atomic<bool>* sampled = nullptr) {
   for (int i = 0; i < iterations; ++i) {
     DbVersion pin = live.Pin();
-    DiscoveryResult result = DiscoverQueries(pin.view(), et, {}, pin.epoch);
+    DiscoveryResult result = DiscoverQueries(pin.view(), et, {});
     ASSERT_TRUE(result.ok()) << result.error;
     std::lock_guard<std::mutex> lock(mu);
     samples.push_back({std::move(pin), reader, Canon(result)});
@@ -144,7 +144,7 @@ void RunReaderUntil(LiveDatabase& live, const ExampleTable& et, int reader,
                     std::atomic<bool>& sampled) {
   for (size_t i = 0; !done.load(); ++i) {
     DbVersion pin = live.Pin();
-    DiscoveryResult result = DiscoverQueries(pin.view(), et, {}, pin.epoch);
+    DiscoveryResult result = DiscoverQueries(pin.view(), et, {});
     ASSERT_TRUE(result.ok()) << result.error;
     if (i >= keep) continue;
     std::lock_guard<std::mutex> lock(mu);
@@ -284,7 +284,7 @@ TEST_F(IngestConcurrencyTest, CompactionRacesDiscoveryWithoutTearingPins) {
   DbVersion end = live.Pin();
   EXPECT_TRUE(end.view().plain());
   std::vector<CanonQuery> a =
-      Canon(DiscoverQueries(end.view(), et, {}, end.epoch));
+      Canon(DiscoverQueries(end.view(), et, {}));
   Database cold = MaterializeDatabase(end.view());
   std::vector<CanonQuery> b = Canon(DiscoverQueries(cold, et));
   EXPECT_EQ(a, b);
@@ -445,7 +445,7 @@ TEST_F(IngestConcurrencyTest, ManualCompactionRacesBackgroundCompactor) {
   const DbVersion want = replay.Pin();
   EXPECT_EQ(test::LiveRows(end.view()), test::LiveRows(want.view()));
   Database cold = MaterializeDatabase(want.view());
-  EXPECT_EQ(Canon(DiscoverQueries(end.view(), et, {}, end.epoch)),
+  EXPECT_EQ(Canon(DiscoverQueries(end.view(), et, {})),
             Canon(DiscoverQueries(cold, et)));
 }
 

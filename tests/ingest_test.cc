@@ -63,7 +63,7 @@ class IngestTest : public ::testing::Test {
                                              const ExampleTable& et,
                                              const DiscoveryOptions& options =
                                                  {}) {
-    DiscoveryResult live = DiscoverQueries(v.view(), et, options, v.epoch);
+    DiscoveryResult live = DiscoverQueries(v.view(), et, options);
     Database cold = MaterializeDatabase(v.view());
     DiscoveryResult fresh = DiscoverQueries(cold, et, options);
     ASSERT_EQ(live.ok(), fresh.ok()) << live.error << " vs " << fresh.error;
@@ -180,7 +180,7 @@ TEST_F(IngestTest, PinnedEpochsAreImmutableUnderLaterMutations) {
   const ExampleTable et = MakeFigure2ExampleTable();
   const DbVersion v0 = live.Pin();
   const int customer = RelId(v0, "Customer");
-  const DiscoveryResult before = DiscoverQueries(v0.view(), et, {}, v0.epoch);
+  const DiscoveryResult before = DiscoverQueries(v0.view(), et, {});
 
   ApplyStandardMutations(live);
   const DbVersion v1 = live.Pin();
@@ -192,7 +192,7 @@ TEST_F(IngestTest, PinnedEpochsAreImmutableUnderLaterMutations) {
   EXPECT_EQ(v1.view().LiveRows(customer), 4u);
 
   // Discovery over the old pin is unchanged and still cold-load identical.
-  const DiscoveryResult after = DiscoverQueries(v0.view(), et, {}, v0.epoch);
+  const DiscoveryResult after = DiscoverQueries(v0.view(), et, {});
   EXPECT_EQ(Canon(before).size(), Canon(after).size());
   for (size_t i = 0; i < Canon(before).size(); ++i) {
     EXPECT_EQ(Canon(before)[i].sql, Canon(after)[i].sql);
@@ -275,8 +275,8 @@ TEST_F(IngestTest, WalReplayRestoresTheOverlayExactly) {
   const DbVersion a = replayed.Pin();
   const DbVersion b = direct.Pin();
   ExpectDiscoveryMatchesColdLoad(a, et);
-  DiscoveryResult ra = DiscoverQueries(a.view(), et, {}, a.epoch);
-  DiscoveryResult rb = DiscoverQueries(b.view(), et, {}, b.epoch);
+  DiscoveryResult ra = DiscoverQueries(a.view(), et, {});
+  DiscoveryResult rb = DiscoverQueries(b.view(), et, {});
   std::vector<CanonQuery> ca = Canon(ra);
   std::vector<CanonQuery> cb = Canon(rb);
   ASSERT_EQ(ca.size(), cb.size());
@@ -381,7 +381,7 @@ TEST_F(IngestTest, CompactFoldsOverlayIntoFreshBase) {
   ApplyStandardMutations(live);
   const DbVersion before = live.Pin();
   const DiscoveryResult r_before =
-      DiscoverQueries(before.view(), et, {}, before.epoch);
+      DiscoverQueries(before.view(), et, {});
 
   CompactionStats stats;
   std::string error;
@@ -402,7 +402,7 @@ TEST_F(IngestTest, CompactFoldsOverlayIntoFreshBase) {
   // Discovery is unchanged by compaction, and the pre-compaction pin
   // still reads its own epoch.
   const DiscoveryResult r_after =
-      DiscoverQueries(after.view(), et, {}, after.epoch);
+      DiscoverQueries(after.view(), et, {});
   std::vector<CanonQuery> a = Canon(r_before);
   std::vector<CanonQuery> b = Canon(r_after);
   ASSERT_EQ(a.size(), b.size());
@@ -457,8 +457,8 @@ TEST_F(IngestTest, CompactWithWalWritesSnapshotAndTruncatesLog) {
   ASSERT_TRUE(restarted.AttachWal(wal_path, &error)) << error;
   const DbVersion a = live.Pin();
   const DbVersion b = restarted.Pin();
-  DiscoveryResult ra = DiscoverQueries(a.view(), et, {}, a.epoch);
-  DiscoveryResult rb = DiscoverQueries(b.view(), et, {}, b.epoch);
+  DiscoveryResult ra = DiscoverQueries(a.view(), et, {});
+  DiscoveryResult rb = DiscoverQueries(b.view(), et, {});
   std::vector<CanonQuery> ca = Canon(ra);
   std::vector<CanonQuery> cb = Canon(rb);
   ASSERT_EQ(ca.size(), cb.size());

@@ -124,15 +124,15 @@ TEST_F(SessionTest, CacheKeyIgnoresPredicateOrder) {
   int customer = db_.RelationIdByName("Customer");
   PhrasePredicate a{ColumnRef{customer, 1}, {"mike"}, false};
   PhrasePredicate b{ColumnRef{customer, 1}, {"jones"}, false};
-  EXPECT_EQ(MakeEvalCacheKey(db_, tree, {a, b}, 0),
-            MakeEvalCacheKey(db_, tree, {b, a}, 0));
-  EXPECT_NE(MakeEvalCacheKey(db_, tree, {a}, 0),
-            MakeEvalCacheKey(db_, tree, {b}, 0));
+  EXPECT_EQ(MakeEvalCacheKey(db_, tree, {a, b}, {}),
+            MakeEvalCacheKey(db_, tree, {b, a}, {}));
+  EXPECT_NE(MakeEvalCacheKey(db_, tree, {a}, {}),
+            MakeEvalCacheKey(db_, tree, {b}, {}));
   // Exactness is part of the key.
   PhrasePredicate a_exact = a;
   a_exact.exact = true;
-  EXPECT_NE(MakeEvalCacheKey(db_, tree, {a}, 0),
-            MakeEvalCacheKey(db_, tree, {a_exact}, 0));
+  EXPECT_NE(MakeEvalCacheKey(db_, tree, {a}, {}),
+            MakeEvalCacheKey(db_, tree, {a_exact}, {}));
 }
 
 }  // namespace

@@ -148,7 +148,7 @@ TEST_P(ShardDifferentialTest, MatchesUnshardedAcrossShardCounts) {
       DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
       for (const auto& [label, sharding] : shardings) {
         DiscoveryResult sharded =
-            DiscoverQueries(sharding.views, et, options, 0);
+            DiscoverQueries(sharding.views, et, options);
         ExpectBitIdentical(reference, sharded,
                            "seed " + std::to_string(seed) + " instance " +
                                std::to_string(instances) + " algorithm " +
@@ -177,7 +177,7 @@ TEST_P(ShardDifferentialTest, AllVerifiersAgreeSharded) {
       options.algorithm = algorithm;
       DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
       DiscoveryResult sharded =
-          DiscoverQueries(sharding.views, et, options, 0);
+          DiscoverQueries(sharding.views, et, options);
       ExpectBitIdentical(reference, sharded,
                          "seed " + std::to_string(seed) + " algorithm " +
                              std::to_string(static_cast<int>(algorithm)));
@@ -198,7 +198,7 @@ TEST_P(ShardDifferentialTest, RelaxedSupportMatchesUnsharded) {
     options.min_row_support = 2;
     DiscoveryResult reference = DiscoverQueries(wb.db, et, options);
     DiscoveryResult sharded =
-        DiscoverQueries(sharding.views, et, options, 0);
+        DiscoverQueries(sharding.views, et, options);
     ExpectBitIdentical(reference, sharded,
                        "relaxed seed " + std::to_string(seed));
   }
@@ -239,7 +239,7 @@ TEST(ShardDifferentialDegenerateTest, SingleComponentDatabaseStillMatches) {
 
   for (const ExampleTable& et : source.SampleMany(params, 4, 4242)) {
     DiscoveryResult reference = DiscoverQueries(db, et);
-    DiscoveryResult sharded = DiscoverQueries(sharding.views, et, {}, 0);
+    DiscoveryResult sharded = DiscoverQueries(sharding.views, et, {});
     ExpectBitIdentical(reference, sharded, "degenerate");
   }
 }
@@ -254,10 +254,10 @@ TEST(ShardStatsTest, CountsProbesPerShardOnlyForSeveralViews) {
     DiscoveryOptions options;
     ShardStats stats;
     DiscoveryResult sharded =
-        DiscoverQueries(sharding.views, et, options, 0, &stats);
+        DiscoverQueries(sharding.views, et, options, &stats);
     ShardStats one_view_stats;
     DiscoveryResult one_view = DiscoverQueries(
-        std::span<const DbView>(&whole, 1), et, options, 0, &one_view_stats);
+        std::span<const DbView>(&whole, 1), et, options, &one_view_stats);
     ExpectBitIdentical(one_view, sharded, "stats");
 
     ASSERT_EQ(stats.per_shard.size(), 4u);

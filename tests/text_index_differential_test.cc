@@ -6,8 +6,9 @@
 // under a shared dictionary (including multi-column ColumnIndex lookups).
 //
 // Part 2 checks the end-to-end determinism contract around interning:
-// DiscoverQueries returns bit-identical ranked queries and verification
-// counts with the match cache on or off.
+// verification over a ShardExecSet returns bit-identical validity and
+// verification counts with the match cache on or off, and discovery (which
+// always runs with it on) returns exactly the valid set.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +16,15 @@
 #include <string>
 #include <vector>
 
+#include "core/candidate_gen.h"
 #include "core/discovery.h"
+#include "core/filter_verifier.h"
 #include "datagen/et_gen.h"
 #include "datagen/retailer.h"
 #include "datagen/text_gen.h"
 #include "exec/executor.h"
+#include "exec/sql_render.h"
+#include "shard/shard_exec.h"
 #include "text/column_index.h"
 #include "text/inverted_index.h"
 #include "text/token_dict.h"
@@ -256,29 +261,58 @@ TEST(TextIndexEndToEndTest, DiscoveryBitIdenticalWithAndWithoutMatchCache) {
   int64_t total_verifications = 0;
   int64_t total_cache_lookups = 0;
   for (const ExampleTable& et : source.SampleMany(params, 6, 4242)) {
-    DiscoveryOptions base;
-    base.use_match_cache = false;
-    DiscoveryResult reference = DiscoverQueries(db, et, base);
-    total_verifications += reference.counters.verifications;
-    EXPECT_EQ(reference.counters.match_cache_lookups, 0);
+    const std::vector<CandidateQuery> candidates =
+        GenerateCandidates(db, graph, et, CandidateGenOptions{});
+    const EtTokenIds et_ids(et, DbView(db));
+    // Discovery's own verifier (FILTER) over one view, with the match cache
+    // off and on.
+    auto verify = [&](bool use_match_cache, VerificationCounters* counters) {
+      ShardExecSet probes(DbView(db), graph,
+                          {.use_match_cache = use_match_cache});
+      VerifyContext ctx{db,      graph,   probes, et, candidates,
+                        nullptr, nullptr, &et_ids};
+      std::vector<bool> valid = FilterVerifier().Verify(ctx, counters);
+      probes.AddCacheCounters(counters);
+      return valid;
+    };
+    VerificationCounters reference;
+    const std::vector<bool> reference_valid = verify(false, &reference);
+    total_verifications += reference.verifications;
+    EXPECT_EQ(reference.match_cache_lookups, 0);
 
-    // The match cache is an execution-cost knob only: the ranked query
-    // list and the verification counters are bit-identical to the uncached
+    // The match cache is an execution-cost knob only: the validity vector
+    // and the verification counters are bit-identical to the uncached
     // reference.
+    VerificationCounters cached;
+    EXPECT_EQ(verify(true, &cached), reference_valid);
+    EXPECT_EQ(cached.verifications, reference.verifications);
+    EXPECT_EQ(cached.estimated_cost, reference.estimated_cost);
+    total_cache_lookups += cached.match_cache_lookups;
+
+    // Discovery returns the reference's valid set, every query matching
+    // every ET row, with the reference's counts.
     DiscoveryResult result = DiscoverQueries(db, et);
-    ASSERT_EQ(result.ok(), reference.ok());
-    ASSERT_EQ(result.queries.size(), reference.queries.size());
-    for (size_t i = 0; i < result.queries.size(); ++i) {
-      EXPECT_EQ(result.queries[i].sql, reference.queries[i].sql);
-      EXPECT_EQ(result.queries[i].score, reference.queries[i].score);
-      EXPECT_EQ(result.queries[i].matched_rows,
-                reference.queries[i].matched_rows);
+    ASSERT_TRUE(result.ok()) << result.error;
+    std::vector<std::string> labels;
+    for (int c = 0; c < et.num_columns(); ++c) {
+      labels.push_back(et.column_name(c));
     }
-    EXPECT_EQ(result.counters.verifications,
-              reference.counters.verifications);
-    EXPECT_EQ(result.counters.estimated_cost,
-              reference.counters.estimated_cost);
-    total_cache_lookups += result.counters.match_cache_lookups;
+    std::vector<std::string> want;
+    for (size_t q = 0; q < candidates.size(); ++q) {
+      if (!reference_valid[q]) continue;
+      want.push_back(RenderProjectJoinSql(db, graph, candidates[q].tree,
+                                          candidates[q].projection, labels));
+    }
+    std::vector<std::string> got;
+    for (const DiscoveredQuery& q : result.queries) {
+      got.push_back(q.sql);
+      EXPECT_EQ(q.matched_rows, et.num_rows());
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(result.counters.verifications, reference.verifications);
+    EXPECT_EQ(result.counters.estimated_cost, reference.estimated_cost);
   }
   // Guard against a degenerate instance set silently passing.
   EXPECT_GT(total_verifications, 0);

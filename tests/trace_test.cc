@@ -313,7 +313,7 @@ TEST(TraceDiscoveryTest, ShardedRequestNestsEvalSpansUnderFilter) {
     options.cache = &cache;
     options.trace = &trace;
     DiscoveryResult result =
-        DiscoverQueries(views, MakeFigure2ExampleTable(), options, 0);
+        DiscoverQueries(views, MakeFigure2ExampleTable(), options);
     ASSERT_TRUE(result.ok()) << result.error;
 
     Trace stitched = trace.Stitch();
